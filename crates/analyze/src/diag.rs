@@ -316,9 +316,8 @@ impl JsonObject {
             self.buf.push(',');
         }
         self.first = false;
-        self.buf.push('"');
-        self.buf.push_str(key);
-        self.buf.push_str("\":");
+        self.buf.push_str(&json_string(key));
+        self.buf.push(':');
     }
 
     pub(crate) fn push_str(&mut self, key: &str, value: &str) {

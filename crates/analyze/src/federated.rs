@@ -46,7 +46,7 @@ use polysig_sim::{DenseEnv, Reactor, Scenario};
 use polysig_tagged::{SigName, Value, ValueType};
 
 use crate::channels::{self, Channel};
-use crate::diag::{Diagnostic, JsonObject, LintCode};
+use crate::diag::{json_string, Diagnostic, JsonObject, LintCode};
 use crate::rates::StaticBounds;
 
 /// Replay passes before the engine gives up with an `Unknown` verdict (a
@@ -201,8 +201,7 @@ impl DeploymentReport {
             DeploymentVerdict::DeadlockRisk { cycle, reason } => {
                 obj.push_str("verdict", "deadlock-risk");
                 obj.push_str("reason", reason);
-                let items: Vec<String> =
-                    cycle.iter().map(|s| format!("\"{}\"", s.as_str())).collect();
+                let items: Vec<String> = cycle.iter().map(|s| json_string(s.as_str())).collect();
                 obj.push_raw("cycle", &format!("[{}]", items.join(",")));
             }
             DeploymentVerdict::Unknown { reason } => {

@@ -1,8 +1,8 @@
 //! Serve-path benchmarks: the latency contract behind `polysig-serve`.
 //!
-//! Three rows, all in-process against [`polysig::serve::Engine`] so the
+//! Four rows, all in-process against [`polysig::serve::Engine`] so the
 //! numbers measure the engine (hashing, caching, coalescing, analysis)
-//! rather than loopback TCP:
+//! and the wire codec rather than loopback TCP:
 //!
 //! * `serve/cold_pipe` — a fresh engine answering the canonical pipeline
 //!   request: full parse → analyze → estimate cost, the cache-miss floor;
@@ -11,13 +11,19 @@
 //!   gate holds far below the cold cost;
 //! * `serve/mixed_c8` — a batch of 8 (4 duplicate warm, 4 unseen cold)
 //!   through `submit_many` on 8 workers: the steady-state mix a loaded
-//!   server sees.
+//!   server sees;
+//! * `serve/wire_hit` — `serve/warm_hit` as the server runs it, codec
+//!   included: decode the request frame, submit (a hit), encode the
+//!   response, and decode the client's envelope.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use polysig::serve::loadgen::{cold_source, PIPE_SCENARIO, WARM_SOURCE};
-use polysig::serve::{Engine, EngineConfig, Request, RequestKind, Served};
+use polysig::serve::proto::Envelope;
+use polysig::serve::{
+    read_frame, write_frame, Engine, EngineConfig, Request, RequestKind, Response, Served,
+};
 use polysig_bench::banner;
 
 fn warm_request(id: u64) -> Request {
@@ -96,6 +102,25 @@ fn bench(c: &mut Criterion) {
                 std::hint::black_box(engine.submit_many(&batch, 8))
             })
         });
+    }
+
+    {
+        let engine = Engine::new(EngineConfig::default());
+        engine.submit(&warm_request(1));
+        let mut frame = Vec::new();
+        write_frame(&mut frame, warm_request(2).to_json().as_bytes()).expect("encode frame");
+        let hit = |frame: &[u8]| -> (Response, Envelope) {
+            let body = read_frame(&mut &frame[..]).expect("read").expect("one frame");
+            let req = Request::from_json(std::str::from_utf8(&body).expect("utf8"))
+                .expect("decode request");
+            let resp = engine.submit(&req);
+            let env = Envelope::from_json(&resp.to_json()).expect("decode response");
+            (resp, env)
+        };
+        let (resp, env) = hit(&frame);
+        assert_eq!(resp.served, Served::Hit, "the framed request must hit");
+        assert_eq!((env.id, env.served.as_str(), env.outcome.as_str()), (2, "hit", "pipeline"));
+        group.bench_function("wire_hit", |b| b.iter(|| std::hint::black_box(hit(&frame))));
     }
 
     group.finish();

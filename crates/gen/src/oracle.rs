@@ -1161,11 +1161,15 @@ fn static_dynamic_agreement(case: &GenCase) -> Result<(), Failure> {
 /// The serving engine is a transparent cache: cold execution, a warm
 /// cache hit, and batched duplicate submission must all return payloads
 /// field-for-field identical to direct library calls with the same
-/// (budget-clamped) options the engine derives for the request.
+/// (budget-clamped) options the engine derives for the request — and
+/// response documents byte-identical (apart from `id`/`served`) to one
+/// another and to what a fresh engine with no result cache renders.
 fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
     use polysig::serve::engine::{Engine, EngineConfig};
-    use polysig::serve::proto::{Outcome, ParseSummary, PipelineReport, Request, RequestKind};
-    use polysig::serve::Served;
+    use polysig::serve::proto::{
+        render_payload, Outcome, ParseSummary, PipelineReport, Request, RequestKind, Response,
+    };
+    use polysig::serve::{Json, Served};
     use polysig_analyze::{analyze_program, analyze_with_scenario};
     use polysig_gals::Estimator;
 
@@ -1188,6 +1192,34 @@ fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
     if warm.outcome != cold.outcome {
         return Err(Failure::new(k, "cache hit returned a different payload than the cold run"));
     }
+    // the wire document: it parses, carries its own id/served, and is the
+    // canonical rendering of its parse (which is the byte-for-byte format
+    // of a full re-serialization); apart from id/served it is the same
+    // bytes for every disposition
+    let cold_doc = cold.to_json();
+    let same_bytes = |resp: &Response, what: &str| -> Result<(), Failure> {
+        let doc = resp.to_json();
+        let parsed = Json::parse(&doc)
+            .map_err(|e| Failure::new(k, format!("{what} response does not parse: {e}")))?;
+        if parsed.get("id").and_then(Json::as_i64) != Some(resp.id as i64)
+            || parsed.get("served").and_then(Json::as_str) != Some(resp.served.as_str())
+        {
+            return Err(Failure::new(k, format!("{what} response mislabels id/served: {doc}")));
+        }
+        if parsed.render() != doc {
+            return Err(Failure::new(k, format!("{what} response is not canonical JSON: {doc}")));
+        }
+        let relabelled = Response { id: cold.id, served: cold.served, ..resp.clone() };
+        if relabelled.to_json() != cold_doc {
+            return Err(Failure::new(
+                k,
+                format!("{what} response bytes differ from the cold run:\n{doc}\n{cold_doc}"),
+            ));
+        }
+        Ok(())
+    };
+    same_bytes(&cold, "cold")?;
+    same_bytes(&warm, "hit")?;
     // batched duplicates: one execution, identical payloads throughout
     let batch: Vec<Request> = (0..4)
         .map(|i| {
@@ -1200,6 +1232,7 @@ fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
         if resp.outcome != cold.outcome {
             return Err(Failure::new(k, "batched duplicate returned a different payload"));
         }
+        same_bytes(&resp, "batched")?;
     }
     let stats = engine.stats();
     if stats.executed != 1 {
@@ -1208,6 +1241,10 @@ fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
             format!("{} executions for one request key (want 1)", stats.executed),
         ));
     }
+    // the payload stored at cache entry is the one a fresh engine that
+    // caches nothing renders for the same request
+    let uncached = Engine::new(EngineConfig { result_cache_bytes: 0, ..EngineConfig::default() });
+    same_bytes(&uncached.submit(&req), "uncached")?;
 
     // the reference: direct library calls on the same source and options
     let program = match polysig_lang::check_program(&source) {
@@ -1277,6 +1314,9 @@ fn serve_equiv(case: &GenCase) -> Result<(), Failure> {
                 cold.outcome, expected
             ),
         ));
+    }
+    if *cold.payload != *render_payload(&expected) {
+        return Err(Failure::new(k, "served payload bytes differ from the direct rendering"));
     }
     Ok(())
 }

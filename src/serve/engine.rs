@@ -16,7 +16,10 @@
 //! (terminal [`Outcome`]s by request key) and a **program cache**
 //! (resolved [`Program`]s plus their reusable [`Estimator`] skeleton, by
 //! source key). Only successful outcomes are cached — errors and budget
-//! breaches are cheap to recompute and must not shadow a later fix.
+//! breaches are cheap to recompute and must not shadow a later fix. A
+//! result entry holds the outcome *and* its rendered JSON payload, both
+//! charged to the result cache's budget, so a hit re-renders nothing but
+//! the response envelope.
 //!
 //! ## Single-flight
 //!
@@ -49,7 +52,8 @@ use polysig_sim::Scenario;
 use polysig_verify::{check, Alphabet, CheckOptions, Property, VerifyError};
 
 use super::proto::{
-    CheckSummary, Outcome, ParseSummary, PipelineReport, Request, RequestKind, Response, Served,
+    render_payload, CheckSummary, Outcome, ParseSummary, PipelineReport, Request, RequestKind,
+    Response, Served,
 };
 
 /// Integer alphabet the `check` stage explores. Part of the protocol
@@ -91,10 +95,34 @@ struct ProgramEntry {
     estimator: Mutex<Option<Estimator>>,
 }
 
+/// A terminal outcome with its payload rendered once — what the result
+/// cache stores and in-flight waiters receive.
+#[derive(Clone)]
+struct Answer {
+    outcome: Arc<Outcome>,
+    payload: Arc<str>,
+}
+
+impl Answer {
+    fn of(outcome: Outcome) -> Answer {
+        let payload = render_payload(&outcome);
+        Answer { outcome: Arc::new(outcome), payload }
+    }
+
+    fn respond(&self, id: u64, served: Served) -> Response {
+        Response {
+            id,
+            served,
+            outcome: Arc::clone(&self.outcome),
+            payload: Arc::clone(&self.payload),
+        }
+    }
+}
+
 struct Inner {
-    results: ByteLru<ContentHash, Arc<Outcome>>,
+    results: ByteLru<ContentHash, Answer>,
     programs: ByteLru<ContentHash, Arc<ProgramEntry>>,
-    inflight: HashMap<ContentHash, Vec<mpsc::Sender<Arc<Outcome>>>>,
+    inflight: HashMap<ContentHash, Vec<mpsc::Sender<Answer>>>,
     coalesced: u64,
     budget_breaches: u64,
     executed: u64,
@@ -249,41 +277,41 @@ impl Engine {
         let key = self.request_key(req);
         {
             let mut inner = self.inner.lock().expect("engine lock");
-            if let Some(outcome) = inner.results.get(&key) {
-                return Response { id: req.id, served: Served::Hit, outcome: Arc::clone(outcome) };
+            if let Some(answer) = inner.results.get(&key) {
+                return answer.respond(req.id, Served::Hit);
             }
             if let Some(waiters) = inner.inflight.get_mut(&key) {
                 let (tx, rx) = mpsc::channel();
                 waiters.push(tx);
                 inner.coalesced += 1;
                 drop(inner);
-                let outcome = rx.recv().unwrap_or_else(|_| {
-                    Arc::new(Outcome::SourceError {
+                let answer = rx.recv().unwrap_or_else(|_| {
+                    Answer::of(Outcome::SourceError {
                         stage: "serve".into(),
                         message: "in-flight computation dropped".into(),
                     })
                 });
-                return Response { id: req.id, served: Served::Coalesced, outcome };
+                return answer.respond(req.id, Served::Coalesced);
             }
             inner.inflight.insert(key, Vec::new());
         }
-        let outcome = Arc::new(self.execute(req));
+        let answer = Answer::of(self.execute(req));
         {
             let mut inner = self.inner.lock().expect("engine lock");
             inner.executed += 1;
-            if matches!(&*outcome, Outcome::BudgetExceeded { .. }) {
+            if matches!(&*answer.outcome, Outcome::BudgetExceeded { .. }) {
                 inner.budget_breaches += 1;
             }
-            if cacheable(&outcome) {
-                let cost = outcome_cost(&outcome);
-                inner.results.insert(key, Arc::clone(&outcome), cost);
+            if cacheable(&answer.outcome) {
+                let cost = outcome_cost(&answer.outcome) + answer.payload.len();
+                inner.results.insert(key, answer.clone(), cost);
             }
             let waiters = inner.inflight.remove(&key).unwrap_or_default();
             for w in waiters {
-                let _ = w.send(Arc::clone(&outcome));
+                let _ = w.send(answer.clone());
             }
         }
-        Response { id: req.id, served: Served::Cold, outcome }
+        answer.respond(req.id, Served::Cold)
     }
 
     /// Fans `requests` across `threads` workers (same-keyed requests
@@ -491,7 +519,9 @@ fn cacheable(outcome: &Outcome) -> bool {
 // Byte accounting. These are *reported* sizes: deliberately simple,
 // deterministic functions of the payload that the LRU enforces exactly
 // (see `gals::cache`). They under-count allocator overhead on purpose —
-// what matters is that bigger payloads cost proportionally more.
+// what matters is that bigger payloads cost proportionally more. A result
+// entry is charged `outcome_cost` plus the exact length of its rendered
+// payload.
 // ---------------------------------------------------------------------------
 
 fn analysis_cost(a: &AnalysisReport) -> usize {
@@ -570,6 +600,36 @@ mod tests {
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.results.hits, 1);
         assert_eq!(stats.results.insertions, 1);
+    }
+
+    #[test]
+    fn payload_is_rendered_once_and_charged_to_the_result_cache() {
+        let engine = Engine::new(EngineConfig::default());
+        let cold = engine.submit(&pipeline_request(1, PIPE));
+        assert_eq!(&*cold.payload, &*render_payload(&cold.outcome));
+        let warm = engine.submit(&pipeline_request(2, PIPE));
+        assert_eq!(warm.served, Served::Hit);
+        // the hit shares the stored rendering instead of producing its own
+        assert!(Arc::ptr_eq(&warm.payload, &cold.payload));
+        assert!(Arc::ptr_eq(&warm.outcome, &cold.outcome));
+        let inner = engine.inner.lock().unwrap();
+        assert_eq!(
+            inner.results.used_bytes(),
+            outcome_cost(&cold.outcome) + cold.payload.len(),
+            "an entry costs its outcome plus its rendered payload"
+        );
+    }
+
+    #[test]
+    fn an_uncached_engine_renders_the_same_payload() {
+        let engine = Engine::new(EngineConfig::default());
+        let uncached =
+            Engine::new(EngineConfig { result_cache_bytes: 0, ..EngineConfig::default() });
+        let a = engine.submit(&pipeline_request(1, PIPE));
+        let b = uncached.submit(&pipeline_request(1, PIPE));
+        assert_eq!(uncached.stats().results.rejections, 1);
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(uncached.submit(&pipeline_request(1, PIPE)).served, Served::Cold);
     }
 
     #[test]

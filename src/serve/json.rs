@@ -4,8 +4,13 @@
 //! Objects keep insertion order so serialization is deterministic: the
 //! same `Response` always renders to the same bytes, which is what lets
 //! tests compare served payloads bit-for-bit.
+//!
+//! Parsing is linear in the input: string bodies are copied run by run
+//! between escapes, so a frame of any size costs one pass, never a scan
+//! per character.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A JSON value. Numbers are `i64` — the protocol never needs fractions,
 /// and integer round-tripping stays exact.
@@ -23,6 +28,11 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// An already-rendered JSON document, written out verbatim. The
+    /// producer vouches that the text is one valid value rendered with
+    /// this module's escaping rules; [`Json::parse`] never produces it, and
+    /// two raw values compare by text.
+    Raw(Arc<str>),
 }
 
 impl Json {
@@ -74,6 +84,7 @@ impl Json {
                 let _ = write!(out, "{n}");
             }
             Json::Str(s) => write_escaped(out, s),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -101,11 +112,10 @@ impl Json {
 
     /// Parses one JSON document (trailing garbage is an error).
     pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(src, &mut pos)?;
+        skip_ws(src.as_bytes(), &mut pos);
+        if pos != src.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(v)
@@ -145,14 +155,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = src.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -162,7 +173,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(src, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -184,10 +195,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(src, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(src, pos)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -232,17 +243,24 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let b = src.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next delimiter in one go. Both delimiters
+        // are ASCII, so the run ends on a char boundary of `src`.
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+        let end = run.map_or(b.len(), |n| *pos + n);
+        out.push_str(&src[*pos..end]);
+        *pos = end;
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            _ => {
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -270,13 +288,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // consume one UTF-8 scalar
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = rest.chars().next().expect("non-empty checked");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -308,5 +319,85 @@ mod tests {
         assert!(Json::parse("1.5").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("\"\\q\"").is_err());
+    }
+
+    fn round_trip(s: &str) {
+        let v = Json::Str(s.to_string());
+        let text = v.render();
+        assert_eq!(Json::parse(&text).unwrap(), v, "value of {text}");
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_round_trips() {
+        for s in ["é\"€\\𝄞\n", "\"é\"", "\\€\\", "𝄞\u{1}é\u{1f}€", "a\"\"\\\\\n\n𝄞", "€", ""]
+        {
+            round_trip(s);
+        }
+        // escapes the renderer never emits decode next to multibyte text
+        assert_eq!(
+            Json::parse("\"é\\u00e9€\\/𝄞\\b\\f\\u0041\"").unwrap(),
+            Json::Str("éé€/𝄞\u{8}\u{c}A".into())
+        );
+    }
+
+    #[test]
+    fn every_control_character_round_trips() {
+        for c in 0u8..0x20 {
+            let s = format!("é{}€{}", c as char, c as char);
+            round_trip(&s);
+            let text = Json::Str(s).render();
+            assert!(
+                text.bytes().all(|b| b >= 0x20),
+                "control byte {c:#04x} rendered raw: {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_values_are_written_verbatim() {
+        let v = Json::Obj(vec![
+            ("a".into(), Json::Raw("{\"x\":[1,\"\\\"\"]}".into())),
+            ("b".into(), Json::Num(2)),
+        ]);
+        assert_eq!(v.render(), "{\"a\":{\"x\":[1,\"\\\"\"]},\"b\":2}");
+        assert!(Json::parse(&v.render()).unwrap().get("a").unwrap().get("x").is_some());
+    }
+
+    #[test]
+    fn rejects_what_it_always_rejected() {
+        let long = "é".repeat(1 << 16);
+        for bad in [
+            format!("\"{long}"),
+            format!("\"{long}\\"),
+            format!("\"{long}\\q\""),
+            format!("\"{long}\\u12\""),
+            format!("\"{long}\\ud800\""),
+            format!("[\"{long}\""),
+            format!("{{\"{long}\":1"),
+            format!("\"{long}\" x"),
+        ] {
+            assert!(Json::parse(&bad).is_err(), "accepted {}…", &bad[..16]);
+        }
+        assert_eq!(
+            Json::parse("\"\n\"").unwrap(),
+            Json::Str("\n".into()),
+            "raw control bytes pass"
+        );
+    }
+
+    #[test]
+    fn a_huge_string_decodes_in_linear_time() {
+        use crate::serve::proto::{Request, RequestKind};
+        let source = "process P { input a: int; output x: int; x := a; } é€𝄞 \" \\ \n"
+            .repeat((4 << 20) / 64);
+        assert!(source.len() >= 4 << 20);
+        let frame = Request::new(3, RequestKind::Parse, source.clone()).to_json();
+        let start = std::time::Instant::now();
+        let req = Request::from_json(&frame).unwrap();
+        let took = start.elapsed();
+        assert_eq!(req.source, source);
+        // a scan per character would need ~n²/2 ≈ 10¹³ byte checks here
+        assert!(took < std::time::Duration::from_secs(1), "4 MiB decode took {took:?}");
     }
 }

@@ -9,8 +9,13 @@
 //! [`Outcome`]; outcome payloads are the *library's* report types, so
 //! equality against a direct library call is plain `==` — the `ServeEquiv`
 //! oracle's whole comparison.
+//!
+//! Each outcome's payload is rendered once ([`render_payload`]) and carried
+//! beside it in the [`Response`]; the engine stores both in its result
+//! cache, so a hit renders only the four-member envelope.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use polysig_analyze::AnalysisReport;
 use polysig_gals::EstimationReport;
@@ -23,7 +28,9 @@ use super::json::Json;
 /// Frames larger than this are a protocol violation, not a payload.
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single `write_all`, so a
+/// `TCP_NODELAY` socket sends header and payload together instead of
+/// waking the peer for the header alone.
 ///
 /// # Errors
 ///
@@ -32,8 +39,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds MAX_FRAME"));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -373,9 +382,10 @@ impl Outcome {
 
 /// One response.
 ///
-/// The outcome is shared, not owned: cache hits and coalesced waiters
-/// hand out the stored payload by reference count instead of deep-cloning
-/// report trees, which is what keeps the hit path microseconds-cheap.
+/// The outcome and its rendered payload are shared, not owned: cache hits
+/// and coalesced waiters hand out the stored pair by reference count
+/// instead of deep-cloning report trees or re-rendering them, which is
+/// what keeps the hit path microseconds-cheap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// The request's correlation id.
@@ -383,7 +393,9 @@ pub struct Response {
     /// Cache disposition.
     pub served: Served,
     /// The payload.
-    pub outcome: std::sync::Arc<Outcome>,
+    pub outcome: Arc<Outcome>,
+    /// `outcome` as a JSON document ([`render_payload`]).
+    pub payload: Arc<str>,
 }
 
 fn estimation_json(r: &EstimationReport) -> Json {
@@ -450,52 +462,68 @@ fn check_summary_json(c: &CheckSummary) -> Json {
 }
 
 fn analysis_json(r: &AnalysisReport) -> Json {
-    // reuse the analyzer's own JSON rendering (the lint binary's format)
-    Json::parse(&r.to_json()).expect("AnalysisReport::to_json emits valid JSON")
+    // the analyzer's own rendering (the lint binary's format) escapes
+    // strings exactly as `Json` does, so splicing it in verbatim gives the
+    // bytes a parse-and-render would (pinned by `tests/serve_wire.rs`)
+    Json::Raw(r.to_json().into())
+}
+
+/// Renders an outcome's payload — the `payload` member of its response
+/// document. The one serializer for every outcome, cached or not.
+pub fn render_payload(outcome: &Outcome) -> Arc<str> {
+    let payload = match outcome {
+        Outcome::Parsed(p) => parse_summary_json(p),
+        Outcome::Analysis(a) => analysis_json(a),
+        Outcome::Estimation(e) => estimation_json(e),
+        Outcome::Checked(c) => check_summary_json(c),
+        Outcome::Pipeline(p) => {
+            let mut members = vec![
+                ("parse".to_string(), parse_summary_json(&p.parse)),
+                ("analysis".to_string(), analysis_json(&p.analysis)),
+            ];
+            if let Some(e) = &p.estimation {
+                members.push(("estimation".into(), estimation_json(e)));
+            }
+            if let Some(c) = &p.check {
+                members.push(("check".into(), check_summary_json(c)));
+            }
+            Json::Obj(members)
+        }
+        Outcome::SourceError { stage, message } => Json::Obj(vec![
+            ("stage".into(), Json::Str(stage.clone())),
+            ("message".into(), Json::Str(message.clone())),
+        ]),
+        Outcome::BudgetExceeded { reason } => {
+            Json::Obj(vec![("reason".into(), Json::Str(reason.clone()))])
+        }
+    };
+    payload.render().into()
 }
 
 impl Response {
+    /// A response carrying `outcome`, with its payload rendered now (the
+    /// engine renders cached outcomes once and builds hits directly).
+    pub fn new(id: u64, served: Served, outcome: Arc<Outcome>) -> Response {
+        let payload = render_payload(&outcome);
+        Response { id, served, outcome, payload }
+    }
+
     /// The response as a JSON document. Serialization is deterministic:
     /// identical responses render to identical bytes.
     pub fn to_json(&self) -> String {
-        let payload = match &*self.outcome {
-            Outcome::Parsed(p) => parse_summary_json(p),
-            Outcome::Analysis(a) => analysis_json(a),
-            Outcome::Estimation(e) => estimation_json(e),
-            Outcome::Checked(c) => check_summary_json(c),
-            Outcome::Pipeline(p) => {
-                let mut members = vec![
-                    ("parse".to_string(), parse_summary_json(&p.parse)),
-                    ("analysis".to_string(), analysis_json(&p.analysis)),
-                ];
-                if let Some(e) = &p.estimation {
-                    members.push(("estimation".into(), estimation_json(e)));
-                }
-                if let Some(c) = &p.check {
-                    members.push(("check".into(), check_summary_json(c)));
-                }
-                Json::Obj(members)
-            }
-            Outcome::SourceError { stage, message } => Json::Obj(vec![
-                ("stage".into(), Json::Str(stage.clone())),
-                ("message".into(), Json::Str(message.clone())),
-            ]),
-            Outcome::BudgetExceeded { reason } => {
-                Json::Obj(vec![("reason".into(), Json::Str(reason.clone()))])
-            }
-        };
         Json::Obj(vec![
             ("id".into(), Json::Num(self.id as i64)),
             ("served".into(), Json::Str(self.served.as_str().into())),
             ("outcome".into(), Json::Str(self.outcome.tag().into())),
-            ("payload".into(), payload),
+            ("payload".into(), Json::Raw(Arc::clone(&self.payload))),
         ])
         .render()
     }
 }
 
-/// The response envelope as a client sees it — the generic fields every
-/// client needs without decoding the full payload.
+/// The response envelope as a client sees it: the generic fields every
+/// client needs. Decoding it parses and validates the whole document,
+/// payload included, but keeps only these three members.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope {
     /// Correlation id.
@@ -556,15 +584,41 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
+    /// A `Write` that records every `write` call it receives.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1, "header and payload must leave in one write");
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, b"\0\0\0\x05hello\0\0\0\0");
+    }
+
     #[test]
     fn envelope_decodes_what_response_encodes() {
-        let resp = Response {
-            id: 9,
-            served: Served::Hit,
-            outcome: std::sync::Arc::new(Outcome::BudgetExceeded {
-                reason: "state space exceeds".into(),
-            }),
-        };
+        let resp = Response::new(
+            9,
+            Served::Hit,
+            Arc::new(Outcome::BudgetExceeded { reason: "state space exceeds".into() }),
+        );
         let env = Envelope::from_json(&resp.to_json()).unwrap();
         assert_eq!(
             env,

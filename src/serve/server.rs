@@ -86,11 +86,11 @@ fn handle_connection(mut stream: TcpStream, engine: &Engine) {
             std::str::from_utf8(&frame).map_err(|e| e.to_string()).and_then(Request::from_json);
         let response = match decoded {
             Ok(req) => engine.submit(&req),
-            Err(message) => Response {
-                id: 0,
-                served: Served::Cold,
-                outcome: Arc::new(Outcome::SourceError { stage: "protocol".into(), message }),
-            },
+            Err(message) => Response::new(
+                0,
+                Served::Cold,
+                Arc::new(Outcome::SourceError { stage: "protocol".into(), message }),
+            ),
         };
         if write_frame(&mut stream, response.to_json().as_bytes()).is_err() {
             return;
