@@ -6,13 +6,19 @@
 //! `compile/full_loop_*` re-runs the Section-5.2 estimation loop with
 //! compilation forced on and off, giving compiled-vs-interpreted comparison
 //! rows next to the `fig2/*` and `estimation/full_loop/*` sections.
+//! `compile/full_loop_gen` runs the same loop on a generated four-stage
+//! pipeline with a stage that reads its channel only under `pre`, so its
+//! network compiles only because the lowering defers equations whose clock
+//! witness is defined later in the schedule order.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use polysig_bench::banner;
 use polysig_gals::estimate::{estimate_buffer_sizes, EstimationOptions};
 use polysig_gals::onefifo::{memory_cell_component, one_place_buffer_component};
+use polysig_gals::{desynchronize, DesyncOptions};
 use polysig_lang::ast::Program;
+use polysig_lang::parse_program;
 use polysig_sim::generator::master_clock;
 use polysig_sim::{BurstyInputs, DenseEnv, PeriodicInputs, Reactor, Scenario, ScenarioGenerator};
 use polysig_tagged::{Value, ValueType};
@@ -55,6 +61,49 @@ fn bursty_env(steps: usize, burst: usize) -> Scenario {
         .generate(steps)
         .zip_union(&PeriodicInputs::new("x_rd", ValueType::Bool, 2, 0).generate(steps))
         .zip_union(&master_clock("tick", steps))
+}
+
+/// A `polysig-gen` four-stage pipeline draw: `P2` reads its channel only
+/// under `pre`.
+const GEN_S4: &str = "
+process P0 {
+    input a0: int;
+    output s0: int;
+    s0 := (((pre -3 a0) when (a0 <= -1)) default (a0 + a0));
+}
+process P1 {
+    input s0: int;
+    local p1_l0: int;
+    output s1: int;
+    p1_l0 := (s0 + (pre -2 p1_l0));
+    s1 := ((s0 - ((p1_l0 when (s0 >= 0)) default p1_l0)) + (pre -1 s1));
+}
+process P2 {
+    input s1: int;
+    output s2: int;
+    s2 := (pre -3 (s1 * 1));
+}
+process P3 {
+    input s2: int;
+    local p3_l0: int;
+    output s3: int;
+    p3_l0 := (s2 + (pre 1 p3_l0));
+    s3 := ((pre -2 s2) * -1);
+}";
+
+/// The estimation environment of an `estimate_sweep` design: bursts of 8
+/// writes every 28 instants, the head channel read every second instant
+/// and the later channels at every instant.
+fn gen_env(steps: usize) -> Scenario {
+    let mut env = BurstyInputs::new("a0", ValueType::Int, 8, 28)
+        .generate(steps)
+        .zip_union(&master_clock("tick", steps));
+    for (ch, period) in [("s0", 2), ("s1", 1), ("s2", 1)] {
+        env = env.zip_union(
+            &PeriodicInputs::new(format!("{ch}_rd"), ValueType::Bool, period, 0).generate(steps),
+        );
+    }
+    env
 }
 
 fn bench(c: &mut Criterion) {
@@ -161,6 +210,23 @@ fn bench(c: &mut Criterion) {
             None => std::env::remove_var("POLYSIG_COMPILE"),
         }
     }
+
+    let gen = parse_program(GEN_S4).unwrap();
+    let network = desynchronize(&gen, &DesyncOptions::with_size(1).instrumented()).unwrap();
+    assert!(
+        Reactor::for_program_compiled(&network.program).unwrap().is_compiled(),
+        "the generated pipeline's network must lower to a static schedule"
+    );
+    let env = gen_env(96);
+    group.bench_function("full_loop_gen", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                estimate_buffer_sizes(&gen, &env, &EstimationOptions::default())
+                    .unwrap()
+                    .iterations(),
+            )
+        })
+    });
     group.finish();
 }
 

@@ -46,7 +46,9 @@ pub enum OracleKind {
     /// The compiled static-schedule executor and the micro-step interpreter
     /// must agree instant by instant — outputs, registers, error strings —
     /// and resuming either plan from a mid-run checkpoint must replay the
-    /// tail bit-identically.
+    /// tail bit-identically. Cases with an estimation scenario are also
+    /// checked on the instrumented, depth-2 desynchronized network under
+    /// that scenario — the network the Section-5 loop simulates.
     CompiledEquiv,
     /// Explicit-state checking and flow comparison must return identical
     /// results at 1, 2, 4 and 8 worker threads.
@@ -328,21 +330,35 @@ fn react_outcome(r: &mut Reactor, env: &DenseEnv) -> Outcome {
 }
 
 fn compiled_equiv(case: &GenCase) -> Result<(), Failure> {
+    plans_agree(&case.program, &case.scenario)?;
+    let Some(est) = &case.est_scenario else { return Ok(()) };
+    // the endochrony gate may refuse the draw; there is no network then
+    let Ok(d) = desynchronize(&case.program, &DesyncOptions::with_size(2).instrumented()) else {
+        return Ok(());
+    };
+    plans_agree(&d.program, est).map_err(|f| {
+        Failure::new(f.oracle, format!("desynchronized network (depth 2): {}", f.message))
+    })
+}
+
+/// The compiled and interpreted plans of `program` agree on `scenario`,
+/// instant by instant and on a mid-run checkpoint replay.
+fn plans_agree(program: &Program, scenario: &Scenario) -> Result<(), Failure> {
     let k = OracleKind::CompiledEquiv;
-    let mut compiled = Reactor::for_program_compiled(&case.program)
+    let mut compiled = Reactor::for_program_compiled(program)
         .map_err(|e| Failure::new(k, format!("elaborate: {e}")))?;
-    let mut interp = Reactor::for_program_interpreted(&case.program)
+    let mut interp = Reactor::for_program_interpreted(program)
         .map_err(|e| Failure::new(k, format!("elaborate: {e}")))?;
     let n = compiled.signal_count();
     let mut env = DenseEnv::new(n);
 
     // checkpoint both plans mid-run; the tail is recorded and must replay
     // bit-identically from the restored states
-    let mid = case.scenario.len() / 2;
+    let mid = scenario.len() / 2;
     let mut parked = None;
     let mut tail: Vec<Outcome> = Vec::new();
 
-    for (i, step) in case.scenario.iter().enumerate() {
+    for (i, step) in scenario.iter().enumerate() {
         if i == mid {
             parked = Some((compiled.snapshot(), interp.snapshot()));
         }
@@ -377,7 +393,7 @@ fn compiled_equiv(case: &GenCase) -> Result<(), Failure> {
     if let Some((c_state, i_state)) = parked {
         compiled.restore(&c_state);
         interp.restore(&i_state);
-        for (off, step) in case.scenario.iter().skip(mid).enumerate() {
+        for (off, step) in scenario.iter().skip(mid).enumerate() {
             env.reset(n);
             for (name, value) in step {
                 env.set(compiled.sig_id(name).unwrap(), *value);

@@ -18,15 +18,22 @@
 //!    evaluated first and [`Op::SetClockFrom`] transfers its presence to
 //!    `n`, exactly as the interpreter's synchronous-operand rule would.
 //!
-//! If any equation fits none of these (or the schedule is cyclic, a signal
-//! is defined twice, or a non-input signal has no defining equation at
-//! all), `lower` returns `None` and the reactor keeps the interpreter —
-//! lowering failure is never an error, only a lost optimization. The
-//! static admissibility predicates below are deliberately conservative:
-//! they reject any equation whose compiled evaluation *could* hit an
-//! undecided or unvalued operand at runtime, so a lowered schedule bails
-//! only on genuinely ill-clocked reactions (which the interpreter then
-//! reports identically). Rejecting undefined non-inputs also makes the
+//! Equations are taken in the static schedule order, which respects only
+//! *instantaneous* dependencies. An equation whose clock can only be
+//! witnessed through a signal read under `pre` (e.g. `y := pre 0 x` where
+//! `x`'s equation comes later) fits none of these yet; it is rolled back
+//! and retried once more signals are decided, so the emitted order is the
+//! schedule order with such equations moved after their witnesses.
+//!
+//! If a whole pass over the deferred equations lowers none of them (or the
+//! schedule is cyclic, a signal is defined twice, or a non-input signal has
+//! no defining equation at all), `lower` returns `None` and the reactor
+//! keeps the interpreter — lowering failure is never an error, only a lost
+//! optimization. The static admissibility predicates below are deliberately
+//! conservative: they reject any equation whose compiled evaluation *could*
+//! hit an undecided or unvalued operand at runtime, so a lowered schedule
+//! bails only on genuinely ill-clocked reactions (which the interpreter
+//! then reports identically). Rejecting undefined non-inputs also makes the
 //! executor's "every signal slot decided" invariant a static fact, so no
 //! runtime scan is needed.
 //!
@@ -99,49 +106,33 @@ pub(crate) fn lower(inp: &LowerInput<'_>) -> Option<CompiledComponent> {
         lw.ops.push(Op::EvalClock { fold: fold.into(), members: members.into() });
     }
 
-    // phase B: one (witness +) evaluate-and-assign block per equation, in
-    // schedule order
+    // inputs with equations and double definitions would need join
+    // machinery the linear schedule does not have, and a non-input the
+    // equations never define would stay undecided at runtime (the
+    // interpreter's UndeterminedClock error): no schedule either way
     let mut defined = vec![false; n];
-    for (lhs, rhs) in inp.equations {
-        let lhs = *lhs;
-        // inputs with equations and double definitions would need join
-        // machinery the linear schedule does not have
+    for &(lhs, _) in inp.equations {
         if inp.is_input[lhs] || defined[lhs] {
             return None;
         }
         defined[lhs] = true;
-        if !lw.admissible(rhs) {
-            if lw.presence[lhs] {
-                return None;
-            }
-            // structural clock: derive the presence from a decidable
-            // sub-expression, then re-check admissibility with the
-            // left-hand side's presence known
-            let (witness, ubiquitous) = lw.clock_plan(rhs)?;
-            if ubiquitous {
-                return None;
-            }
-            lw.ops.push(Op::SetClockFrom { dst: lhs as u32, src: witness });
-            lw.presence[lhs] = true;
-            if !lw.admissible(rhs) {
-                return None;
-            }
-        }
-        // a possibly-ubiquitous result needs an already-decided clock to
-        // anchor to
-        if maybe_ubiquitous(rhs) && !lw.presence[lhs] {
-            return None;
-        }
-        let m = if lw.presence[lhs] { Mode::GuardAtClock } else { Mode::Guard };
-        lw.emit(rhs, m, lhs as u32);
-        lw.value[lhs] = true;
-        lw.presence[lhs] = true;
+    }
+    if (0..n).any(|i| !inp.is_input[i] && !defined[i]) {
+        return None;
     }
 
-    // a non-input the equations never define would stay undecided at
-    // runtime (the interpreter's UndeterminedClock error): no schedule
-    if (0..n).any(|i| !inp.is_input[i] && !lw.value[i]) {
-        return None;
+    // phase B: one (witness +) evaluate-and-assign block per equation, in
+    // passes over the pending equations in schedule order; an equation
+    // whose witness is not decided yet waits for the next pass (see the
+    // module docs), and a pass that lowers nothing means no static order
+    // exists
+    let mut pending: Vec<&(usize, CExpr)> = inp.equations.iter().collect();
+    while !pending.is_empty() {
+        let before = pending.len();
+        pending.retain(|&(lhs, rhs)| !lw.try_equation(*lhs, rhs));
+        if pending.len() == before {
+            return None;
+        }
     }
 
     // phase C: register updates, re-evaluating each `pre` body in the
@@ -203,6 +194,54 @@ struct Lowerer {
 }
 
 impl Lowerer {
+    /// Lowers `lhs := rhs` when every signal it needs is decided; otherwise
+    /// rolls back the ops, slots, constants and presence mark the attempt
+    /// allocated and returns `false`.
+    fn try_equation(&mut self, lhs: usize, rhs: &CExpr) -> bool {
+        let (ops, slots, consts, presence) =
+            (self.ops.len(), self.init_slots.len(), self.consts.len(), self.presence[lhs]);
+        if self.lower_equation(lhs, rhs).is_some() {
+            return true;
+        }
+        self.ops.truncate(ops);
+        self.init_slots.truncate(slots);
+        self.consts.truncate(consts);
+        self.presence[lhs] = presence;
+        false
+    }
+
+    /// Emits `lhs := rhs` (with a structural witness when needed), or
+    /// `None` when some signal it needs is still undecided.
+    fn lower_equation(&mut self, lhs: usize, rhs: &CExpr) -> Option<()> {
+        if !self.admissible(rhs) {
+            if self.presence[lhs] {
+                return None;
+            }
+            // structural clock: derive the presence from a decidable
+            // sub-expression, then re-check admissibility with the
+            // left-hand side's presence known
+            let (witness, ubiquitous) = self.clock_plan(rhs)?;
+            if ubiquitous {
+                return None;
+            }
+            self.ops.push(Op::SetClockFrom { dst: lhs as u32, src: witness });
+            self.presence[lhs] = true;
+            if !self.admissible(rhs) {
+                return None;
+            }
+        }
+        // a possibly-ubiquitous result needs an already-decided clock to
+        // anchor to
+        if maybe_ubiquitous(rhs) && !self.presence[lhs] {
+            return None;
+        }
+        let m = if self.presence[lhs] { Mode::GuardAtClock } else { Mode::Guard };
+        self.emit(rhs, m, lhs as u32);
+        self.value[lhs] = true;
+        self.presence[lhs] = true;
+        Some(())
+    }
+
     /// A fresh expression temporary.
     fn temp(&mut self) -> u32 {
         self.init_slots.push(Flow::Absent);

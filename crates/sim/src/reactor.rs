@@ -1118,6 +1118,7 @@ fn join_status(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Op;
     use polysig_lang::parse_program;
 
     fn reactor(src: &str) -> Reactor {
@@ -1321,24 +1322,135 @@ mod tests {
         assert_eq!(by_name.registers(), by_id.registers());
     }
 
+    /// The fig2 one-place buffer: every clock is rooted in the inputs.
+    const FIG2_BUFFER: &str = "process OnePlaceBuffer {
+        input msgin: int, rd: bool, tick: bool;
+        output msgout: int, full: bool;
+        local inw: bool, rdw: bool, fullprev: bool, data: int;
+        sync tick, full, data;
+        inw := (^msgin) default (false when tick);
+        rdw := (rd when rd) default (false when tick);
+        fullprev := (pre false full) when tick;
+        msgout := (pre 0 data) when (rdw and fullprev);
+        full := (fullprev and (not rdw)) or inw;
+        data := (msgin when inw) default ((pre 0 data) when tick);
+    }";
+
+    fn compiled(src: &str) -> Reactor {
+        Reactor::for_program_compiled(&parse_program(src).unwrap()).unwrap()
+    }
+
+    /// Runs the compiled and the interpreted plan side by side over
+    /// `steps`, asserting identical outputs, registers and snapshots.
+    fn assert_plans_agree(src: &str, steps: &[Vec<(&str, Value)>]) {
+        let p = parse_program(src).unwrap();
+        let mut compiled = Reactor::for_program_compiled(&p).unwrap();
+        let mut interp = Reactor::for_program_interpreted(&p).unwrap();
+        for (i, step) in steps.iter().enumerate() {
+            let env = present(step);
+            assert_eq!(compiled.react(&env), interp.react(&env), "instant {i}");
+            assert_eq!(compiled.registers(), interp.registers(), "instant {i}");
+            assert_eq!(compiled.snapshot(), interp.snapshot(), "instant {i}");
+        }
+    }
+
+    /// `a` at every instant, `c` alternating true/false.
+    fn alternating(steps: i64) -> Vec<Vec<(&'static str, Value)>> {
+        (0..steps).map(|i| vec![("a", Value::Int(i)), ("c", Value::Bool(i % 2 == 0))]).collect()
+    }
+
+    /// 64-bit FNV-1a over the schedule's `Debug` rendering: every op,
+    /// slot, constant and epilogue check.
+    fn fingerprint(r: &Reactor) -> u64 {
+        format!("{:?}", r.compiled_schedule().expect("a compiled schedule"))
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
     #[test]
     fn endochronous_programs_get_a_compiled_plan() {
-        // the fig2 one-place buffer: every clock is rooted in the inputs
-        let src = "process OnePlaceBuffer {
-            input msgin: int, rd: bool, tick: bool;
-            output msgout: int, full: bool;
-            local inw: bool, rdw: bool, fullprev: bool, data: int;
-            sync tick, full, data;
-            inw := (^msgin) default (false when tick);
-            rdw := (rd when rd) default (false when tick);
-            fullprev := (pre false full) when tick;
-            msgout := (pre 0 data) when (rdw and fullprev);
-            full := (fullprev and (not rdw)) or inw;
-            data := (msgin when inw) default ((pre 0 data) when tick);
+        // op counts and fingerprints recorded when lowering was a single
+        // pass over the schedule order: programs whose equations all lower
+        // in that order must keep byte-identical schedules
+        for (src, ops, print) in [
+            (FIG2_BUFFER, 15, 0x3195_fdd7_aa71_5dbf),
+            (
+                "process Acc { input tick: bool; output n: int; n := (pre 0 n) + (1 when tick); }",
+                6,
+                0xd3c4_6d8b_4a38_b688,
+            ),
+            (
+                "process Mix {
+                    input tick: bool, set: int;
+                    output s: int, parity: bool;
+                    s := set default (pre 0 s);
+                    s ^= tick;
+                    parity := (pre false parity) /= (true when tick);
+                }",
+                9,
+                0xb69a_7d82_9486_d69d,
+            ),
+        ] {
+            let r = compiled(src);
+            assert_eq!(r.compiled_op_count(), Some(ops), "{src}");
+            assert_eq!(fingerprint(&r), print, "{src}");
+        }
+    }
+
+    #[test]
+    fn witness_read_under_pre_lowers_after_its_definition() {
+        // p's clock is s's, witnessed only through `pre -1 s`; the
+        // schedule order puts p (no instantaneous dependency) before s,
+        // so p's equation is deferred until s is decided — and o := p,
+        // which waits on p, along with it
+        let src = "process P {
+            input a: int, c: bool;
+            output o: int;
+            local p: int, s: int;
+            p := (pre -1 s) + (pre -1 p);
+            s := a when c;
+            o := p;
         }";
-        let r = Reactor::for_program_compiled(&parse_program(src).unwrap()).unwrap();
-        assert!(r.is_compiled());
-        assert!(r.compiled_op_count().unwrap() > 0);
+        assert!(compiled(src).is_compiled());
+        assert_plans_agree(src, &alternating(12));
+    }
+
+    #[test]
+    fn delayed_constant_product_lowers_after_its_operand() {
+        // s := pre 3 (q * 0): before q is decided the only witness is the
+        // ubiquitous constant 0, which cannot anchor a clock
+        let src = "process P {
+            input a: int, c: bool;
+            output o: int;
+            local s: int, q: int;
+            s := pre 3 (q * 0);
+            q := a when c;
+            o := s + 1;
+        }";
+        assert!(compiled(src).is_compiled());
+        assert_plans_agree(src, &alternating(12));
+    }
+
+    #[test]
+    fn rolled_back_attempt_leaves_no_orphan_slot() {
+        // the first attempt at x finds the witness `0 when c` (a
+        // temporary and the constant 0) but then fails on the undecided
+        // `pre 0 y`; the retry lowers x directly. The slot file must hold
+        // the four signals plus the retry's two temporaries and one
+        // constant — nothing from the attempt
+        let src = "process P {
+            input a: int, c: bool;
+            output x: int;
+            local y: int;
+            x := (0 when c) + (pre 0 y);
+            y := a when c;
+        }";
+        let r = compiled(src);
+        let cc = r.compiled_schedule().expect("x lowers once y is decided");
+        assert!(!cc.ops.iter().any(|o| matches!(o, Op::SetClockFrom { .. })));
+        assert_eq!(cc.init_slots.len(), 4 + 3);
+        assert_eq!(cc.init_slots.iter().filter(|f| matches!(f, Flow::Ubiquitous(_))).count(), 1);
+        assert_plans_agree(src, &alternating(12));
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //!
 //! Coverage mirrors `parallel_check.rs`: every program shipped under
 //! `programs/`, the FIFO-overflow fixtures, and environment-automaton
-//! shaped exploration.
+//! shaped exploration — plus a desynchronized network whose consumer reads
+//! its channel only under `pre`.
 
 use polysig::gals::nfifo::nfifo_component;
+use polysig::gals::{desynchronize, DesyncOptions};
 use polysig::lang::{parse_program, Program};
+use polysig::sim::Reactor;
 use polysig::tagged::Value;
 use polysig::verify::alphabet::Letter;
 use polysig::verify::reach::{check, CheckOptions, CheckResult};
@@ -47,7 +50,7 @@ fn assert_agree(label: &str, explicit: &CheckResult, symbolic: &CheckResult) {
 
 /// Runs the explicit checker (sequentially and at the default thread
 /// count) and the symbolic backend at the same horizon, asserting
-/// agreement.
+/// agreement; returns the symbolic result.
 fn drill(
     label: &str,
     program: &Program,
@@ -55,7 +58,7 @@ fn drill(
     property: &Property,
     env: Option<&EnvAutomaton>,
     depth: usize,
-) {
+) -> CheckResult {
     let explicit_base =
         CheckOptions { max_depth: Some(depth), env: env.cloned(), ..Default::default() };
     let seq =
@@ -72,6 +75,7 @@ fn drill(
     .unwrap_or_else(|e| panic!("{label}: symbolic check failed: {e}"));
     assert_agree(&format!("{label} vs threads=1"), &seq, &symbolic);
     assert_agree(&format!("{label} vs default threads"), &par, &symbolic);
+    symbolic
 }
 
 // --- every program shipped under `programs/` -----------------------------
@@ -186,4 +190,44 @@ fn env_automaton_checks_agree_across_backends() {
         Some(&env),
         8,
     );
+}
+
+// --- a channel read only under `pre` -------------------------------------
+
+#[test]
+fn delayed_consumer_network_agrees_across_backends() {
+    // Q reads the channel `x` only under `pre`, so its clock is witnessed
+    // through a delayed read of the channel's output, whose equation the
+    // schedule order places later. Before the lowering deferred such
+    // equations this network had no static schedule, and the symbolic
+    // backend (which encodes the schedule) refused it as `BmcUnsupported`.
+    let pipe = parse_program(
+        "process P { input a: int; output x: int; x := a; } \
+         process Q { input x: int; output y: int; y := pre 0 x; }",
+    )
+    .unwrap();
+    // two writes then two reads per frame: depth 1 overflows, depth 2 holds
+    let mut frame = Vec::new();
+    for i in 1..=2 {
+        let mut l = Letter::new();
+        l.insert("tick".into(), Value::TRUE);
+        l.insert("a".into(), Value::Int(i));
+        frame.push(l);
+    }
+    for _ in 0..2 {
+        let mut l = Letter::new();
+        l.insert("tick".into(), Value::TRUE);
+        l.insert("x_rd".into(), Value::TRUE);
+        frame.push(l);
+    }
+    for (size, holds) in [(1usize, false), (2, true)] {
+        let d = desynchronize(&pipe, &DesyncOptions::with_size(size)).unwrap();
+        assert!(Reactor::for_program_compiled(&d.program).unwrap().is_compiled());
+        let mut alphabet = Alphabet::from_letters(frame.clone()).unwrap();
+        let env = EnvAutomaton::cycle(&mut alphabet, &frame);
+        let label = format!("delayed-consumer network (depth {size})");
+        let r =
+            drill(&label, &d.program, &alphabet, &Property::never_true("x_alarm"), Some(&env), 8);
+        assert_eq!(r.holds, holds, "{label}");
+    }
 }
