@@ -15,9 +15,11 @@
 //! how the paper models unknown relative clock rates inside one synchronous
 //! framework.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use polysig_lang::{Component, Program};
+use polysig_sim::{ComponentPart, Reactor};
 use polysig_tagged::hash::FxHashMap;
 use polysig_tagged::SigName;
 
@@ -111,6 +113,17 @@ pub struct ChannelInstance {
     pub full_signal: SigName,
     /// The max-consecutive-miss register (present iff instrumented).
     pub maxmiss_signal: Option<SigName>,
+}
+
+/// A desynchronized network linked straight to a reactor
+/// ([`DesyncCache::link`]): the reactor `Reactor::for_program` builds for
+/// [`Desynchronized::program`], plus the same channel metadata.
+#[derive(Debug, Clone)]
+pub struct LinkedNetwork {
+    /// The elaborated, executable network.
+    pub reactor: Reactor,
+    /// One entry per cut dependency.
+    pub channels: Vec<ChannelInstance>,
 }
 
 /// A desynchronized program: the transformed network plus channel metadata.
@@ -210,20 +223,24 @@ pub fn desynchronize(
     DesyncCache::new(program, options.instrument)?.build(&options.sizes, options.default_size)
 }
 
-/// Builds desynchronized programs for many size maps without re-deriving
+/// Builds desynchronized networks for many size maps without re-deriving
 /// the shared skeleton.
 ///
 /// [`desynchronize`] derives the channel specs, renames the producer and
 /// consumer components and fabricates every FIFO (and monitor) on each
-/// call. The Section-5.2 estimation loop calls it once per round with only
-/// the FIFO depths changed, so the cache splits the work: the *skeleton* —
-/// specs, renamed components, monitors, channel signal names — is derived
-/// once at construction, and [`DesyncCache::build`] assembles a round's
-/// program from clones, fabricating a FIFO component only for `(channel,
-/// depth)` pairs never seen before.
+/// call. The Section-5.2 estimation loop needs the network once per round
+/// with only the FIFO depths changed, so the cache splits the work: the
+/// *skeleton* — specs, renamed components, channel signal names — is
+/// derived once at construction. [`DesyncCache::build`] assembles a
+/// round's [`Program`] from it; [`DesyncCache::link`] goes straight to the
+/// round's [`Reactor`] from elaborated components ([`ComponentPart`]s):
+/// the skeleton and monitor parts are elaborated on the first link, and a
+/// FIFO part once per `(channel, depth)` pair, so a round that grew one
+/// channel elaborates only that channel's FIFO.
 ///
 /// `build` produces exactly what [`desynchronize`] produces for the same
-/// options ([`desynchronize`] is itself a one-shot cache).
+/// options ([`desynchronize`] is itself a one-shot cache), and `link`
+/// produces exactly `Reactor::for_program(&build(..)?.program)`.
 ///
 /// ```
 /// use polysig_gals::{desynchronize, DesyncCache, DesyncOptions};
@@ -233,7 +250,7 @@ pub fn desynchronize(
 ///     "process P { input a: int; output x: int; x := a + 1; } \
 ///      process Q { input x: int; output y: int; y := x * 2; }",
 /// )?;
-/// let mut cache = DesyncCache::new(&p, false)?;
+/// let cache = DesyncCache::new(&p, false)?;
 /// let d2 = cache.build(&[("x".into(), 2)].into(), 1)?;
 /// let d3 = cache.build(&[("x".into(), 3)].into(), 1)?;
 /// assert_eq!(d2.program, desynchronize(&p, &DesyncOptions::with_size(2))?.program);
@@ -251,10 +268,16 @@ pub struct DesyncCache {
     channels: Vec<ChannelInstance>,
     /// Insert the Figure-4 monitors?
     instrument: bool,
-    /// One monitor per channel (empty when not instrumenting).
-    monitors: Vec<Component>,
-    /// Memoized FIFO components keyed by `(channel index, depth)`.
-    fifos: FxHashMap<(usize, usize), Component>,
+    /// The skeleton's elaborated parts, in skeleton order, followed by one
+    /// monitor part per channel when instrumenting (empty until the first
+    /// [`DesyncCache::link`]).
+    parts: Vec<ComponentPart>,
+    /// Elaborated FIFO parts keyed by `(channel index, depth)`.
+    fifo_parts: FxHashMap<(usize, usize), ComponentPart>,
+    /// Components elaborated by [`DesyncCache::link`] so far.
+    elaborated: usize,
+    /// Components [`DesyncCache::link`] took from the caches instead.
+    reused: usize,
     /// `true` iff the source program declares a signal that looks like a
     /// generated channel signal (`<channel>_…`) — see
     /// [`DesyncCache::has_generated_name_collision`].
@@ -312,12 +335,6 @@ impl DesyncCache {
             .iter()
             .map(|c| components.remove(&c.name).expect("component preserved"))
             .collect();
-        let monitors: Vec<Component> = if instrument {
-            channels.iter().map(|ch| monitor_component(ch.spec.signal.as_str())).collect()
-        } else {
-            Vec::new()
-        };
-
         // a source declaration named like a generated channel signal
         // (`x_alarm`, `x_d3`, …) could alias the channel machinery — the
         // estimation loop's warm start refuses to assume prefix equivalence
@@ -336,8 +353,10 @@ impl DesyncCache {
             skeleton,
             channels,
             instrument,
-            monitors,
-            fifos: FxHashMap::default(),
+            parts: Vec::new(),
+            fifo_parts: FxHashMap::default(),
+            elaborated: 0,
+            reused: 0,
             name_collision,
         })
     }
@@ -368,7 +387,7 @@ impl DesyncCache {
     /// [`GalsError::UnknownChannel`] if `sizes` names a signal that is not
     /// a cut dependency.
     pub fn build(
-        &mut self,
+        &self,
         sizes: &BTreeMap<SigName, usize>,
         default_size: usize,
     ) -> Result<Desynchronized, GalsError> {
@@ -380,18 +399,81 @@ impl DesyncCache {
         let mut out = Program::new(self.name.clone());
         out.components.extend(self.skeleton.iter().cloned());
         let mut channels = self.channels.clone();
-        for (i, ch) in channels.iter_mut().enumerate() {
+        for ch in &mut channels {
             ch.size = sizes.get(&ch.spec.signal).copied().unwrap_or(default_size);
-            let fifo = self
-                .fifos
-                .entry((i, ch.size))
-                .or_insert_with(|| nfifo_component(ch.spec.signal.as_str(), ch.size));
-            out.components.push(fifo.clone());
+            let signal = ch.spec.signal.as_str();
+            out.components.push(nfifo_component(signal, ch.size));
             if self.instrument {
-                out.components.push(self.monitors[i].clone());
+                out.components.push(monitor_component(signal));
             }
         }
         Ok(Desynchronized { program: out, channels })
+    }
+
+    /// Links the desynchronized network for one depth vector (`depths[i]`
+    /// is channel `i`'s depth, in [`DesyncCache::signals`] order) from
+    /// elaborated parts, elaborating only the parts no earlier link
+    /// needed. The result equals `Reactor::for_program` on the program
+    /// [`DesyncCache::build`] assembles for the same depths — same ids,
+    /// registers, schedule and errors — without assembling that program.
+    ///
+    /// # Errors
+    ///
+    /// Elaboration errors of the network, as `Reactor::for_program`
+    /// reports them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depths` does not hold exactly one depth per channel.
+    pub fn link(&mut self, depths: &[usize]) -> Result<LinkedNetwork, GalsError> {
+        assert_eq!(depths.len(), self.channels.len(), "one depth per channel");
+        let mut fresh = 0;
+        if self.parts.is_empty() {
+            self.parts.extend(self.skeleton.iter().map(ComponentPart::elaborate));
+            if self.instrument {
+                self.parts.extend(self.channels.iter().map(|ch| {
+                    ComponentPart::elaborate(&monitor_component(ch.spec.signal.as_str()))
+                }));
+            }
+            fresh += self.parts.len();
+        }
+        for (i, &depth) in depths.iter().enumerate() {
+            if let Entry::Vacant(slot) = self.fifo_parts.entry((i, depth)) {
+                let signal = self.channels[i].spec.signal.as_str();
+                slot.insert(ComponentPart::elaborate(&nfifo_component(signal, depth)));
+                fresh += 1;
+            }
+        }
+
+        // program order, as `build` lays it out: the skeleton, then per
+        // channel its FIFO and (when instrumenting) its monitor
+        let (skeleton, monitors) = self.parts.split_at(self.skeleton.len());
+        let mut parts: Vec<&ComponentPart> = skeleton.iter().collect();
+        for (i, &depth) in depths.iter().enumerate() {
+            parts.push(&self.fifo_parts[&(i, depth)]);
+            if self.instrument {
+                parts.push(&monitors[i]);
+            }
+        }
+        self.elaborated += fresh;
+        self.reused += parts.len() - fresh;
+        let reactor = Reactor::link(&parts)?;
+        let mut channels = self.channels.clone();
+        for (ch, &depth) in channels.iter_mut().zip(depths) {
+            ch.size = depth;
+        }
+        Ok(LinkedNetwork { reactor, channels })
+    }
+
+    /// Components [`DesyncCache::link`] has elaborated so far.
+    pub fn parts_elaborated(&self) -> usize {
+        self.elaborated
+    }
+
+    /// Components [`DesyncCache::link`] has taken from its caches instead
+    /// of elaborating them.
+    pub fn parts_reused(&self) -> usize {
+        self.reused
     }
 }
 
@@ -477,7 +559,8 @@ mod tests {
         .unwrap();
         let mut cache = DesyncCache::new(&p, true).unwrap();
         // several rounds with changing sizes, including a repeat that hits
-        // the FIFO memo
+        // the FIFO part cache; each linked round is the reactor the built
+        // program elaborates to
         for sizes in [vec![("x", 1), ("y", 1)], vec![("x", 3), ("y", 1)], vec![("x", 3), ("y", 2)]]
         {
             let map: BTreeMap<SigName, usize> =
@@ -487,7 +570,17 @@ mod tests {
             let cached = cache.build(&map, 1).unwrap();
             assert_eq!(cached.program, fresh.program);
             assert_eq!(cached.channels, fresh.channels);
+            let depths: Vec<usize> = sizes.iter().map(|&(_, n)| n).collect();
+            let linked = cache.link(&depths).unwrap();
+            let built = Reactor::for_program(&cached.program).unwrap();
+            assert_eq!(linked.channels, fresh.channels);
+            assert_eq!(linked.reactor.signal_names(), built.signal_names());
+            assert_eq!(linked.reactor.register_spans(), built.register_spans());
+            assert_eq!(linked.reactor.initial_registers(), built.initial_registers());
         }
+        // rounds 2 and 3 each elaborated one new FIFO
+        assert_eq!(cache.parts_elaborated(), 7 + 2);
+        assert_eq!(cache.parts_reused(), 3 * 7 - (7 + 2));
     }
 
     #[test]

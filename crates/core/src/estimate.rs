@@ -20,12 +20,15 @@
 //! rounds share:
 //!
 //! * the desynchronization skeleton is derived once per loop via
-//!   [`DesyncCache`] and each round's network assembled from clones;
-//! * each round compiles straight to a [`Reactor`] and is measured on dense
-//!   per-instant environments — alarms and miss registers are read off the
-//!   reaction outputs directly, skipping the full trace recording a
-//!   [`Simulator`] run would do;
-//! * compiled rounds are memoized by their depth vector, so an ensemble
+//!   [`DesyncCache`], which also keeps every component *elaborated*: the
+//!   skeleton and monitors on the first round, each FIFO once per depth.
+//!   A round links its reactor straight from those parts
+//!   ([`DesyncCache::link`]), so a round that grew one channel elaborates
+//!   only that channel's FIFO and never assembles a `Program`;
+//! * each round is measured on dense per-instant environments — alarms
+//!   and miss registers are read off the reaction outputs directly,
+//!   skipping the full trace recording a [`Simulator`] run would do;
+//! * linked rounds are memoized by their depth vector, so an ensemble
 //!   worker revisiting the same sizes (every scenario starts at the same
 //!   depths) reuses the compiled reactor;
 //! * when a round only *grew* buffers, the next round resumes from the
@@ -35,7 +38,11 @@
 //!
 //! The incremental engine is observationally identical to the plain loop
 //! (`incremental: false`): same [`EstimationReport`], field for field — the
-//! differential suite in `tests/differential.rs` holds it to that.
+//! differential suite in `tests/differential.rs` holds it to that, and
+//! `tests/link_equivalence.rs` holds each linked round to the reactor
+//! `Reactor::for_program` builds for the assembled network.
+//! [`Estimator::work`] counts the engine's work (components elaborated and
+//! reused, rounds linked, memo hits) deterministically.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -45,7 +52,7 @@ use polysig_sim::{DenseEnv, Reactor, ReactorState, Scenario, SimError, Simulator
 use polysig_tagged::hash::FxHashMap;
 use polysig_tagged::{SigId, SigName, Value};
 
-use crate::desync::{desynchronize, DesyncCache, DesyncOptions, Desynchronized};
+use crate::desync::{desynchronize, DesyncCache, DesyncOptions, Desynchronized, LinkedNetwork};
 use crate::error::GalsError;
 use crate::nfifo::fifo_component_name;
 
@@ -249,6 +256,32 @@ impl Estimator {
             estimate_cold(&self.program, scenario, options)
         }
     }
+
+    /// The work the incremental engine has done across every call so far.
+    pub fn work(&self) -> EstimatorWork {
+        EstimatorWork {
+            components_elaborated: self.ctx.cache.parts_elaborated(),
+            components_reused: self.ctx.cache.parts_reused(),
+            rounds_linked: self.ctx.rounds_linked,
+            memo_hits: self.ctx.memo_hits,
+        }
+    }
+}
+
+/// Work counters of an [`Estimator`]'s incremental engine, cumulative over
+/// its calls. They count work, not time, so they are deterministic: equal
+/// inputs give equal counts on any host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EstimatorWork {
+    /// Components elaborated: every skeleton and monitor component on the
+    /// first linked round, then one FIFO per new `(channel, depth)` pair.
+    pub components_elaborated: usize,
+    /// Components a linked round took from the elaborated-part caches.
+    pub components_reused: usize,
+    /// Rounds linked into a new reactor (compiled-round memo misses).
+    pub rounds_linked: usize,
+    /// Rounds served by the compiled-round memo.
+    pub memo_hits: usize,
 }
 
 /// Per-channel starting depths paired with where each one came from.
@@ -452,6 +485,9 @@ struct EstimationCtx {
     fifo_names: Vec<String>,
     /// Compiled rounds memoized by depth vector (in `signals` order).
     compiled: FxHashMap<Vec<usize>, CompiledRound>,
+    /// Rounds linked (memo misses) and served from the memo so far.
+    rounds_linked: usize,
+    memo_hits: usize,
     /// Warm starts allowed? False when the source program declares names in
     /// the generated channel namespace — such a program could read the
     /// channel machinery, voiding the prefix-equivalence argument.
@@ -464,23 +500,29 @@ impl EstimationCtx {
         let signals: Vec<SigName> = cache.signals().cloned().collect();
         let fifo_names = signals.iter().map(|s| fifo_component_name(s.as_str())).collect();
         let warm_ok = !cache.has_generated_name_collision();
-        Ok(EstimationCtx { cache, signals, fifo_names, compiled: FxHashMap::default(), warm_ok })
+        Ok(EstimationCtx {
+            cache,
+            signals,
+            fifo_names,
+            compiled: FxHashMap::default(),
+            rounds_linked: 0,
+            memo_hits: 0,
+            warm_ok,
+        })
     }
 
-    /// The compiled round for one depth vector, building it on a miss.
-    fn round(
-        &mut self,
-        sizes: &BTreeMap<SigName, usize>,
-        key: &[usize],
-    ) -> Result<&mut CompiledRound, GalsError> {
-        if !self.compiled.contains_key(key) {
+    /// The compiled round for one depth vector (in `signals` order),
+    /// linking it from the cache's elaborated parts on a miss.
+    fn round(&mut self, key: &[usize]) -> Result<&mut CompiledRound, GalsError> {
+        if self.compiled.contains_key(key) {
+            self.memo_hits += 1;
+        } else {
             if self.compiled.len() >= MAX_COMPILED_ROUNDS {
                 self.compiled.clear();
             }
-            let d = self.cache.build(sizes, 1)?;
-            let reactor = Reactor::for_program(&d.program)?;
-            let ids = d
-                .channels
+            let LinkedNetwork { reactor, channels } = self.cache.link(key)?;
+            self.rounds_linked += 1;
+            let ids = channels
                 .iter()
                 .map(|ch| {
                     let id = |s: &SigName| {
@@ -521,10 +563,11 @@ fn estimate_with_ctx(
 
     let mut history = Vec::new();
     let mut prev: Option<PrevRound> = None;
+    let mut dense = Vec::new();
     for _ in 0..options.max_iterations {
         let key: Vec<usize> = signals.iter().map(|s| sizes[s]).collect();
-        let round = ctx.round(&sizes, &key)?;
-        let dense = dense_scenario(&round.reactor, scenario)?;
+        let round = ctx.round(&key)?;
+        dense_scenario(&round.reactor, scenario, &mut dense)?;
         let plan = if warm_ok {
             prev.as_ref().and_then(|p| plan_warm_start(p, &key, &fifo_names, &round.reactor))
         } else {
@@ -730,21 +773,25 @@ fn measure_round(
 
 /// Converts a scenario to dense per-instant environments against one
 /// reactor's interner, mirroring [`Simulator::run`]'s conversion (including
-/// its reject-unknown-names-before-reacting behavior).
-fn dense_scenario(reactor: &Reactor, scenario: &Scenario) -> Result<Vec<DenseEnv>, GalsError> {
+/// its reject-unknown-names-before-reacting behavior). `steps` is refilled
+/// in place, so a loop reuses one buffer across its rounds.
+fn dense_scenario(
+    reactor: &Reactor,
+    scenario: &Scenario,
+    steps: &mut Vec<DenseEnv>,
+) -> Result<(), GalsError> {
     let n = reactor.signal_count();
-    let mut steps = Vec::with_capacity(scenario.len());
-    for inputs in scenario.iter() {
-        let mut env = DenseEnv::new(n);
+    steps.resize_with(scenario.len(), DenseEnv::default);
+    for (env, inputs) in steps.iter_mut().zip(scenario.iter()) {
+        env.reset(n);
         for (name, value) in inputs {
             let Some(id) = reactor.sig_id(name) else {
                 return Err(SimError::NotAnInput { name: name.clone() }.into());
             };
             env.set(id, *value);
         }
-        steps.push(env);
     }
-    Ok(steps)
+    Ok(())
 }
 
 /// The outcome of an ensemble estimation: one report per scenario plus the
@@ -992,9 +1039,9 @@ mod tests {
         let mut ctx = EstimationCtx::new(&pipe()).unwrap();
         assert!(ctx.warm_ok);
 
-        let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
-        let round1 = ctx.round(&sizes1, &[1]).unwrap();
-        let dense = dense_scenario(&round1.reactor, &scenario).unwrap();
+        let round1 = ctx.round(&[1]).unwrap();
+        let mut dense = Vec::new();
+        dense_scenario(&round1.reactor, &scenario, &mut dense).unwrap();
         let obs = measure_round(round1, &dense, None).unwrap();
         let (t, _) = obs.first_write[0].as_ref().expect("the writer wrote");
         assert_eq!(*t, 3);
@@ -1008,8 +1055,7 @@ mod tests {
         };
 
         let key2 = vec![1 + miss];
-        let sizes2: BTreeMap<SigName, usize> = [(SigName::from("x"), 1 + miss)].into();
-        let round2 = ctx.round(&sizes2, &key2).unwrap();
+        let round2 = ctx.round(&key2).unwrap();
         let plan = plan_warm_start(&prev, &key2, &[fifo_component_name("x")], &round2.reactor)
             .expect("growth after a delayed first write must warm start");
         assert_eq!(plan.start, 3);
@@ -1030,19 +1076,17 @@ mod tests {
         // donor that disagrees with the new reactor's layout in any way must
         // return None (the loop then starts cold) rather than guess
         let mut ctx = EstimationCtx::new(&pipe()).unwrap();
-        let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
         let (spans, initial) = {
-            let r1 = ctx.round(&sizes1, &[1]).unwrap();
+            let r1 = ctx.round(&[1]).unwrap();
             (r1.reactor.register_spans().to_vec(), r1.reactor.initial_registers().to_vec())
         };
-        let sizes2: BTreeMap<SigName, usize> = [(SigName::from("x"), 3)].into();
         let fifo = fifo_component_name("x");
         let fifo_span = spans
             .iter()
             .find(|(n, _, len)| *n == fifo && *len > 0)
             .cloned()
             .expect("the FIFO component has registers");
-        let round2 = ctx.round(&sizes2, &[3]).unwrap();
+        let round2 = ctx.round(&[3]).unwrap();
         let prev = |spans: Vec<(String, usize, usize)>, initial: Vec<Value>| PrevRound {
             key: vec![1],
             spans,
@@ -1095,14 +1139,12 @@ mod tests {
         // a grown channel whose first-write bookkeeping is empty cannot
         // anchor a resume point: the plan must refuse
         let mut ctx = EstimationCtx::new(&pipe()).unwrap();
-        let sizes1: BTreeMap<SigName, usize> = [(SigName::from("x"), 1)].into();
         let (spans, initial) = {
-            let r1 = ctx.round(&sizes1, &[1]).unwrap();
+            let r1 = ctx.round(&[1]).unwrap();
             (r1.reactor.register_spans().to_vec(), r1.reactor.initial_registers().to_vec())
         };
         let prev = PrevRound { key: vec![1], spans, initial, first_write: vec![None] };
-        let sizes2: BTreeMap<SigName, usize> = [(SigName::from("x"), 2)].into();
-        let round2 = ctx.round(&sizes2, &[2]).unwrap();
+        let round2 = ctx.round(&[2]).unwrap();
         assert!(
             plan_warm_start(&prev, &[2], &[fifo_component_name("x")], &round2.reactor).is_none()
         );
@@ -1292,6 +1334,68 @@ mod tests {
             let cold = estimate_buffer_sizes(&pipe(), &scenario, &mk(false)).unwrap();
             assert_eq!(warm, cold, "proven_depth={proven_depth}");
         }
+    }
+
+    /// `P → Q → R`: channel `x` read every third instant (it must grow),
+    /// `y` read at every instant.
+    fn three_stage() -> (Program, Scenario) {
+        let p = parse_program(
+            "process P { input a: int; output x: int; x := a; } \
+             process Q { input x: int; output y: int; y := x; } \
+             process R { input y: int; output z: int; z := y; }",
+        )
+        .unwrap();
+        let steps = 12;
+        let scenario = PeriodicInputs::new("a", ValueType::Int, 1, 0)
+            .generate(steps)
+            .zip_union(&PeriodicInputs::new("x_rd", ValueType::Bool, 3, 1).generate(steps))
+            .zip_union(&PeriodicInputs::new("y_rd", ValueType::Bool, 1, 0).generate(steps))
+            .zip_union(&master_clock("tick", steps));
+        (p, scenario)
+    }
+
+    #[test]
+    fn later_rounds_elaborate_only_the_grown_fifos() {
+        let (p, scenario) = three_stage();
+        let report = estimate_buffer_sizes(&p, &scenario, &Default::default()).unwrap();
+        assert!(report.iterations() >= 3, "the workload must grow x over several rounds");
+
+        // replay the loop's depth vectors round by round: round 1
+        // elaborates the three stages, both FIFOs and both monitors; every
+        // later round exactly the FIFOs whose depth changed
+        let mut ctx = EstimationCtx::new(&p).unwrap();
+        let mut prev: Option<Vec<usize>> = None;
+        for it in &report.history {
+            let key: Vec<usize> = ctx.signals.iter().map(|s| it.sizes[s]).collect();
+            let before = ctx.cache.parts_elaborated();
+            ctx.round(&key).unwrap();
+            let fresh = ctx.cache.parts_elaborated() - before;
+            match &prev {
+                None => assert_eq!(fresh, 7),
+                Some(prev) => {
+                    let grown = key.iter().zip(prev).filter(|(new, old)| new != old).count();
+                    assert_eq!(grown, 1, "only x grows");
+                    assert_eq!(fresh, grown, "round at {key:?}");
+                }
+            }
+            prev = Some(key);
+        }
+
+        // the same counts through the public handle, plus the memo: a
+        // second identical call links nothing and hits every round
+        let mut est = Estimator::new(&p).unwrap();
+        let rounds = report.iterations();
+        let elaborated = 7 + (rounds - 1);
+        assert_eq!(est.estimate(&scenario, &Default::default()).unwrap(), report);
+        let once = EstimatorWork {
+            components_elaborated: elaborated,
+            components_reused: 7 * rounds - elaborated,
+            rounds_linked: rounds,
+            memo_hits: 0,
+        };
+        assert_eq!(est.work(), once);
+        assert_eq!(est.estimate(&scenario, &Default::default()).unwrap(), report);
+        assert_eq!(est.work(), EstimatorWork { memo_hits: rounds, ..once });
     }
 
     #[test]

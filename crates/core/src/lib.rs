@@ -71,11 +71,11 @@ pub mod vcd;
 pub use budget::{Breach, Budget, Stopwatch};
 pub use cache::{hash_bytes, ByteLru, CacheStats, ContentHash, Sha256};
 pub use closedloop::{run_masked, MaskedRun};
-pub use desync::{desynchronize, DesyncCache, DesyncOptions, Desynchronized};
+pub use desync::{desynchronize, DesyncCache, DesyncOptions, Desynchronized, LinkedNetwork};
 pub use error::GalsError;
 pub use estimate::{
     estimate_buffer_sizes, estimate_buffer_sizes_ensemble, EnsembleReport, EstimationOptions,
-    EstimationReport, Estimator, Provenance,
+    EstimationReport, Estimator, EstimatorWork, Provenance,
 };
 pub use fork::{fork_component, fork_shared_signals, merge_component};
 pub use partition::{channels_of_program, ChannelSpec};

@@ -19,7 +19,7 @@
 //! experiments.
 
 use polysig_lang::{Binop, Component, ComponentBuilder, Expr};
-use polysig_tagged::{Value, ValueType};
+use polysig_tagged::{SigName, Value, ValueType};
 
 /// The component name [`nfifo_component`] generates for channel `name`.
 pub fn fifo_component_name(name: &str) -> String {
@@ -48,136 +48,117 @@ pub fn fifo_component_name(name: &str) -> String {
 /// transformation starts from).
 pub fn nfifo_component(name: &str, n: usize) -> Component {
     assert!(n > 0, "an n-place FIFO needs n >= 1");
-    let input = format!("{name}_in");
-    let rd = format!("{name}_rd");
-    let out = format!("{name}_out");
-    let alarm = format!("{name}_alarm");
-    let ok = format!("{name}_ok");
-    let count = format!("{name}_count");
-    let full = format!("{name}_full");
-    let inw = format!("{name}_inw");
-    let rdw_flag = format!("{name}_rdw");
-    let d = |i: usize| format!("{name}_d{i}");
-    let f = |i: usize| format!("{name}_f{i}");
-    let fp = |i: usize| format!("{name}_fp{i}");
-    let mv = |i: usize| format!("{name}_mv{i}");
+    // every name is allocated once and shared by all its occurrences
+    let sig = |suffix: &str| SigName::from(format!("{name}_{suffix}"));
+    let input = sig("in");
+    let rd = sig("rd");
+    let out = sig("out");
+    let alarm = sig("alarm");
+    let ok = sig("ok");
+    let count = sig("count");
+    let full = sig("full");
+    let inw = sig("inw");
+    let rdw_flag = sig("rdw");
+    let tick = SigName::from("tick");
+    // stage `i` (1-based) is at index `i - 1`
+    let stage = |prefix: &str| -> Vec<SigName> {
+        (1..=n).map(|i| SigName::from(format!("{name}_{prefix}{i}"))).collect()
+    };
+    let (d, f, fp, mv) = (stage("d"), stage("f"), stage("fp"), stage("mv"));
+    let var = |x: &SigName| Expr::var(x.clone());
+    let at_tick = || var(&tick);
 
     let mut b = ComponentBuilder::new(fifo_component_name(name))
-        .input(input.as_str(), ValueType::Int)
-        .input(rd.as_str(), ValueType::Bool)
-        .input("tick", ValueType::Bool)
-        .output(out.as_str(), ValueType::Int)
-        .output(alarm.as_str(), ValueType::Bool)
-        .output(ok.as_str(), ValueType::Bool)
-        .output(count.as_str(), ValueType::Int)
-        .output(full.as_str(), ValueType::Bool)
-        .local(inw.as_str(), ValueType::Bool)
-        .local(rdw_flag.as_str(), ValueType::Bool);
-    for i in 1..=n {
+        .input(input.clone(), ValueType::Int)
+        .input(rd.clone(), ValueType::Bool)
+        .input(tick.clone(), ValueType::Bool)
+        .output(out.clone(), ValueType::Int)
+        .output(alarm.clone(), ValueType::Bool)
+        .output(ok.clone(), ValueType::Bool)
+        .output(count.clone(), ValueType::Int)
+        .output(full.clone(), ValueType::Bool)
+        .local(inw.clone(), ValueType::Bool)
+        .local(rdw_flag.clone(), ValueType::Bool);
+    for i in 0..n {
         b = b
-            .local(d(i).as_str(), ValueType::Int)
-            .local(f(i).as_str(), ValueType::Bool)
-            .local(fp(i).as_str(), ValueType::Bool)
-            .local(mv(i).as_str(), ValueType::Bool);
+            .local(d[i].clone(), ValueType::Int)
+            .local(f[i].clone(), ValueType::Bool)
+            .local(fp[i].clone(), ValueType::Bool)
+            .local(mv[i].clone(), ValueType::Bool);
     }
     // the stage registers and the count live on the master clock
-    let mut sync_names: Vec<String> = vec!["tick".into(), count.clone()];
-    for i in 1..=n {
-        sync_names.push(d(i));
-        sync_names.push(f(i));
+    let mut sync_names: Vec<SigName> = vec![tick.clone(), count.clone()];
+    for i in 0..n {
+        sync_names.push(d[i].clone());
+        sync_names.push(f[i].clone());
     }
-    b = b.sync(sync_names.iter().map(String::as_str));
+    b = b.sync(sync_names);
 
     // write / read attempts as booleans at the master clock
-    b = b.equation(
-        inw.as_str(),
-        Expr::var(input.as_str()).clock().default(Expr::bool(false).when(Expr::var("tick"))),
-    );
-    b = b.equation(
-        rdw_flag.as_str(),
-        Expr::var(rd.as_str()).default(Expr::bool(false).when(Expr::var("tick"))),
-    );
+    b = b.equation(inw.clone(), var(&input).clock().default(Expr::bool(false).when(at_tick())));
+    b = b.equation(rdw_flag.clone(), var(&rd).default(Expr::bool(false).when(at_tick())));
 
     // previous occupancy per stage
-    for i in 1..=n {
-        b = b.equation(
-            fp(i).as_str(),
-            Expr::var(f(i).as_str()).pre(Value::FALSE).when(Expr::var("tick")),
-        );
+    for i in 0..n {
+        b = b.equation(fp[i].clone(), var(&f[i]).pre(Value::FALSE).when(at_tick()));
     }
 
     // movement chain, back to front:
     //   mv_n = take = rdw ∧ fp_n
     //   mv_i = fp_i ∧ (¬fp_{i+1} ∨ mv_{i+1})        (i < n)
-    b = b.equation(
-        mv(n).as_str(),
-        Expr::var(rdw_flag.as_str()).binop(Binop::And, Expr::var(fp(n).as_str())),
-    );
-    for i in (1..n).rev() {
+    b = b.equation(mv[n - 1].clone(), var(&rdw_flag).binop(Binop::And, var(&fp[n - 1])));
+    for i in (0..n - 1).rev() {
         b = b.equation(
-            mv(i).as_str(),
-            Expr::var(fp(i).as_str()).binop(
-                Binop::And,
-                Expr::var(fp(i + 1).as_str()).not().binop(Binop::Or, Expr::var(mv(i + 1).as_str())),
-            ),
+            mv[i].clone(),
+            var(&fp[i]).binop(Binop::And, var(&fp[i + 1]).not().binop(Binop::Or, var(&mv[i + 1]))),
         );
     }
 
     // put = inw ∧ (¬fp_1 ∨ mv_1)
-    let put = Expr::var(inw.as_str()).binop(
-        Binop::And,
-        Expr::var(fp(1).as_str()).not().binop(Binop::Or, Expr::var(mv(1).as_str())),
-    );
+    let put = var(&inw).binop(Binop::And, var(&fp[0]).not().binop(Binop::Or, var(&mv[0])));
 
     // occupancy updates: f_i' = (fp_i ∧ ¬mv_i) ∨ incoming_i
-    for i in 1..=n {
-        let incoming = if i == 1 { put.clone() } else { Expr::var(mv(i - 1).as_str()) };
+    for i in 0..n {
+        let incoming = if i == 0 { put.clone() } else { var(&mv[i - 1]) };
         b = b.equation(
-            f(i).as_str(),
-            Expr::var(fp(i).as_str())
-                .binop(Binop::And, Expr::var(mv(i).as_str()).not())
-                .binop(Binop::Or, incoming),
+            f[i].clone(),
+            var(&fp[i]).binop(Binop::And, var(&mv[i]).not()).binop(Binop::Or, incoming),
         );
     }
 
     // data movement: stage 1 takes the fresh write, stage i > 1 takes the
     // predecessor's previous value when it shifts
     b = b.equation(
-        d(1).as_str(),
-        Expr::var(input.as_str())
-            .when(put.clone())
-            .default(Expr::var(d(1).as_str()).pre(Value::Int(0)).when(Expr::var("tick"))),
+        d[0].clone(),
+        var(&input).when(put.clone()).default(var(&d[0]).pre(Value::Int(0)).when(at_tick())),
     );
-    for i in 2..=n {
+    for i in 1..n {
         b = b.equation(
-            d(i).as_str(),
-            Expr::var(d(i - 1).as_str())
+            d[i].clone(),
+            var(&d[i - 1])
                 .pre(Value::Int(0))
-                .when(Expr::var(mv(i - 1).as_str()))
-                .default(Expr::var(d(i).as_str()).pre(Value::Int(0)).when(Expr::var("tick"))),
+                .when(var(&mv[i - 1]))
+                .default(var(&d[i]).pre(Value::Int(0)).when(at_tick())),
         );
     }
 
     // output: stage n's stored value on a successful read
-    b = b.equation(
-        out.as_str(),
-        Expr::var(d(n).as_str()).pre(Value::Int(0)).when(Expr::var(mv(n).as_str())),
-    );
+    b = b.equation(out, var(&d[n - 1]).pre(Value::Int(0)).when(var(&mv[n - 1])));
 
     // Section 5.1 instrumentation hooks: alarm/ok at write attempts
-    let rejected = Expr::var(fp(1).as_str()).binop(Binop::And, Expr::var(mv(1).as_str()).not());
-    b = b.equation(alarm.as_str(), rejected.clone().when(Expr::var(inw.as_str())));
-    b = b.equation(ok.as_str(), rejected.not().when(Expr::var(inw.as_str())));
+    let rejected = var(&fp[0]).binop(Binop::And, var(&mv[0]).not());
+    b = b.equation(alarm, rejected.clone().when(var(&inw)));
+    b = b.equation(ok, rejected.not().when(var(&inw)));
 
     // masking indicator: stage 1 occupied at the end of this tick
-    b = b.equation(full.as_str(), Expr::var(f(1).as_str()));
+    b = b.equation(full, var(&f[0]));
 
     // occupancy count (previous tick)
-    let mut sum = Expr::var(fp(1).as_str()).if_int();
-    for i in 2..=n {
-        sum = sum.binop(Binop::Add, Expr::var(fp(i).as_str()).if_int());
+    let mut sum = var(&fp[0]).if_int();
+    for fp in &fp[1..] {
+        sum = sum.binop(Binop::Add, var(fp).if_int());
     }
-    b = b.equation(count.as_str(), sum);
+    b = b.equation(count, sum);
 
     b.build()
 }

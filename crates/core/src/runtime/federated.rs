@@ -755,6 +755,31 @@ mod tests {
     }
 
     #[test]
+    fn short_run_reports_its_own_elapsed_not_the_cadence() {
+        // a run far shorter than the sampling or watchdog cadence: the
+        // coordinator wakes when the last federate exits, so `elapsed` is
+        // the run's, not rounded up to the next cadence point
+        let n = 50;
+        let cadence = Duration::from_secs(2);
+        for options in [
+            FederatedOptions::default().with_capacity("x", 4).with_sampling(cadence),
+            FederatedOptions::default().with_capacity("x", 4).with_watchdog(cadence),
+        ] {
+            let run = run_federated(
+                &pipe(),
+                vec![
+                    FederateSpec::new("P", n).with_environment(env(n)),
+                    FederateSpec::new("Q", 10 * n).data_driven(),
+                ],
+                &options,
+            )
+            .unwrap();
+            assert!(run.elapsed < cadence / 2, "elapsed {:?}", run.elapsed);
+            assert_eq!(run.teardown.joined, 2);
+        }
+    }
+
+    #[test]
     fn watchdog_fires_on_an_all_data_driven_cycle() {
         // A and B both block receiving their cycle input before their first
         // reaction: no token ever enters the cycle, at any capacity

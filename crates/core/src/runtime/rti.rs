@@ -13,18 +13,23 @@
 //!   so one failing federate drains the whole federation promptly instead
 //!   of deadlocking it;
 //! * **liveness accounting** — each federate decrements a live counter on
-//!   exit (including panic unwind, via `Drop`), which is what lets the
-//!   coordinator stream telemetry samples while the federation runs and
-//!   stop sampling the moment it is done;
+//!   exit (including panic unwind, via `Drop`), and the last one out wakes
+//!   the coordinator, which is what lets it stream telemetry samples while
+//!   the federation runs and stop sampling the moment it is done;
 //! * **teardown** — `join_all` joins *every* spawned thread before
 //!   returning or re-raising anything, so no run leaks a thread: a panic
 //!   in one federate is re-thrown on the coordinator only after the other
 //!   threads are joined.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The coordinator's wake-up call: the last federate to exit notifies it
+/// under the mutex, so a coordinator that saw a live federation under the
+/// same mutex cannot miss the notification.
+type ExitSignal = Arc<(Mutex<()>, Condvar)>;
 
 /// The coordination context one federate thread holds for its lifetime.
 ///
@@ -35,6 +40,7 @@ pub(crate) struct FederateCtx {
     shutdown: Arc<AtomicBool>,
     barrier: Arc<Barrier>,
     live: Arc<AtomicUsize>,
+    exited: ExitSignal,
 }
 
 impl FederateCtx {
@@ -64,7 +70,11 @@ impl Drop for FederateCtx {
         if std::thread::panicking() {
             self.request_shutdown();
         }
-        self.live.fetch_sub(1, Ordering::Release);
+        if self.live.fetch_sub(1, Ordering::Release) == 1 {
+            let (lock, done) = &*self.exited;
+            let _held = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            done.notify_all();
+        }
     }
 }
 
@@ -84,6 +94,7 @@ pub(crate) struct Rti<R> {
     shutdown: Arc<AtomicBool>,
     barrier: Arc<Barrier>,
     live: Arc<AtomicUsize>,
+    exited: ExitSignal,
     handles: Vec<(String, JoinHandle<R>)>,
 }
 
@@ -95,6 +106,7 @@ impl<R: Send + 'static> Rti<R> {
             shutdown: Arc::new(AtomicBool::new(false)),
             barrier: Arc::new(Barrier::new(federates.max(1))),
             live: Arc::new(AtomicUsize::new(0)),
+            exited: Arc::default(),
             handles: Vec::with_capacity(federates),
         }
     }
@@ -110,6 +122,7 @@ impl<R: Send + 'static> Rti<R> {
             shutdown: self.shutdown.clone(),
             barrier: self.barrier.clone(),
             live: self.live.clone(),
+            exited: self.exited.clone(),
         };
         let handle = std::thread::spawn(move || body(ctx));
         self.handles.push((name, handle));
@@ -133,12 +146,21 @@ impl<R: Send + 'static> Rti<R> {
     }
 
     /// Blocks until every federate exited, calling `sample` every `every`
-    /// (the streaming-telemetry hook). A `None` cadence degenerates to a
-    /// plain wait-by-join in [`Rti::join_all`].
+    /// while the federation runs (the streaming-telemetry hook) and once
+    /// more as soon as it is done — the last federate out wakes the wait,
+    /// so it never outlasts the federation by up to a cadence. A `None`
+    /// cadence degenerates to a plain wait-by-join in [`Rti::join_all`].
     pub fn wait_sampling(&self, every: Option<Duration>, mut sample: impl FnMut()) {
         let Some(every) = every else { return };
+        let (lock, exited) = &*self.exited;
         while self.any_live() {
-            std::thread::sleep(every);
+            let due = Instant::now() + every;
+            let mut held = lock.lock().unwrap_or_else(PoisonError::into_inner);
+            while self.any_live() {
+                let Some(left) = due.checked_duration_since(Instant::now()) else { break };
+                held = exited.wait_timeout(held, left).unwrap_or_else(PoisonError::into_inner).0;
+            }
+            drop(held);
             sample();
         }
     }
@@ -256,6 +278,25 @@ mod tests {
         assert!(ticks >= 2, "the sampler observed the running federation");
         let (_, stats) = rti.join_all();
         assert_eq!(stats.spawned, stats.joined);
+    }
+
+    #[test]
+    fn sampling_wait_returns_when_the_federation_finishes() {
+        // the federation lives ~5 ms; a 2 s cadence must not hold the
+        // coordinator until the next cadence point
+        let mut rti: Rti<()> = Rti::new(1);
+        rti.spawn("f".into(), |ctx| {
+            ctx.start();
+            std::thread::sleep(Duration::from_millis(5));
+        });
+        let cadence = Duration::from_secs(2);
+        let started = Instant::now();
+        let mut samples = 0usize;
+        rti.wait_sampling(Some(cadence), || samples += 1);
+        assert!(started.elapsed() < cadence / 2, "waited {:?}", started.elapsed());
+        assert!(!rti.any_live());
+        assert_eq!(samples, 1, "one closing sample");
+        rti.join_all();
     }
 
     #[test]

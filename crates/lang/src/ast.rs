@@ -213,24 +213,28 @@ impl Expr {
         Expr::Binary { op, left: Box::new(self), right: Box::new(other) }
     }
 
+    /// Calls `f` on every signal read by the expression, in reading order
+    /// and with repetitions.
+    pub fn for_each_var<'a>(&'a self, f: &mut impl FnMut(&'a SigName)) {
+        match self {
+            Expr::Var(x) => f(x),
+            Expr::Const(_) => {}
+            Expr::Pre { body, .. } => body.for_each_var(f),
+            Expr::When { body: left, cond: right }
+            | Expr::Default { left, right }
+            | Expr::Binary { left, right, .. } => {
+                left.for_each_var(f);
+                right.for_each_var(f);
+            }
+            Expr::Unary { arg, .. } => arg.for_each_var(f),
+        }
+    }
+
     /// Collects every signal name read by the expression into `out`.
     pub fn collect_vars(&self, out: &mut BTreeSet<SigName>) {
-        match self {
-            Expr::Var(x) => {
-                out.insert(x.clone());
-            }
-            Expr::Const(_) => {}
-            Expr::Pre { body, .. } => body.collect_vars(out),
-            Expr::When { body, cond } => {
-                body.collect_vars(out);
-                cond.collect_vars(out);
-            }
-            Expr::Default { left, right } | Expr::Binary { left, right, .. } => {
-                left.collect_vars(out);
-                right.collect_vars(out);
-            }
-            Expr::Unary { arg, .. } => arg.collect_vars(out),
-        }
+        self.for_each_var(&mut |x| {
+            out.insert(x.clone());
+        });
     }
 
     /// The signals read by the expression.

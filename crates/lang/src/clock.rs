@@ -21,6 +21,7 @@
 //! desynchronization (Benveniste et al., "From synchrony to asynchrony").
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 use polysig_tagged::{SigName, Value};
 
@@ -31,7 +32,7 @@ use crate::ast::{Component, Expr, Role, Statement};
 pub struct ClockClass {
     /// Stable class identifier (index into [`ClockAnalysis::classes`]).
     pub id: usize,
-    /// The member signals, sorted.
+    /// The member signals, in declaration order.
     pub members: Vec<SigName>,
 }
 
@@ -40,17 +41,55 @@ pub struct ClockClass {
 pub struct ClockAnalysis {
     /// The clock-equivalence classes.
     pub classes: Vec<ClockClass>,
-    class_of: BTreeMap<SigName, usize>,
+    /// The class of each declaration, in declaration order.
+    decl_classes: Vec<usize>,
+    /// The class of each declared name, computed on first use.
+    class_of: OnceLock<BTreeMap<SigName, usize>>,
     /// `(a, b)` means class `a`'s clock is included in class `b`'s clock.
     edges: BTreeSet<(usize, usize)>,
-    /// Transitive closure of `edges`.
-    closure: BTreeSet<(usize, usize)>,
+    /// Transitive closure of `edges`, computed on first use: elaboration
+    /// needs only the classes and direct edges.
+    closure: OnceLock<BTreeSet<(usize, usize)>>,
 }
 
 impl ClockAnalysis {
+    /// Transitive closure of the direct edges (tiny graphs — Floyd-Warshall
+    /// style).
+    fn closure(&self) -> &BTreeSet<(usize, usize)> {
+        self.closure.get_or_init(|| {
+            let n = self.classes.len();
+            let mut closure = self.edges.clone();
+            loop {
+                let mut grew = false;
+                let snapshot: Vec<(usize, usize)> = closure.iter().copied().collect();
+                for &(a, b) in &snapshot {
+                    for k in 0..n {
+                        if closure.contains(&(b, k)) && a != k && closure.insert((a, k)) {
+                            grew = true;
+                        }
+                    }
+                }
+                if !grew {
+                    break closure;
+                }
+            }
+        })
+    }
+
     /// The class id of a signal, if analyzed.
     pub fn class_of(&self, name: &SigName) -> Option<usize> {
-        self.class_of.get(name).copied()
+        let class_of = self.class_of.get_or_init(|| {
+            let members =
+                self.classes.iter().flat_map(|c| c.members.iter().map(move |m| (m, c.id)));
+            members.map(|(m, id)| (m.clone(), id)).collect()
+        });
+        class_of.get(name).copied()
+    }
+
+    /// The class id of each declaration of the analyzed component, in
+    /// declaration order.
+    pub fn decl_classes(&self) -> &[usize] {
+        &self.decl_classes
     }
 
     /// `true` iff two signals provably share a clock.
@@ -65,7 +104,7 @@ impl ClockAnalysis {
     /// (`clk(a) ⊆ clk(b)`), including equality.
     pub fn dominated_by(&self, a: &SigName, b: &SigName) -> bool {
         match (self.class_of(a), self.class_of(b)) {
-            (Some(ca), Some(cb)) => ca == cb || self.closure.contains(&(ca, cb)),
+            (Some(ca), Some(cb)) => ca == cb || self.closure().contains(&(ca, cb)),
             _ => false,
         }
     }
@@ -81,7 +120,7 @@ impl ClockAnalysis {
         (0..self.classes.len())
             .filter(|&c| {
                 !(0..self.classes.len()).any(|d| {
-                    d != c && self.closure.contains(&(c, d)) && !self.closure.contains(&(d, c))
+                    d != c && self.closure().contains(&(c, d)) && !self.closure().contains(&(d, c))
                 })
             })
             .collect()
@@ -97,8 +136,9 @@ impl ClockAnalysis {
         // one clock in disguise (the union-find only merges *syntactic*
         // equalities, while cyclic ⊆ edges prove semantic equality)
         self.classes.len() <= 1
-            || (0..self.classes.len())
-                .any(|m| (0..self.classes.len()).all(|c| c == m || self.closure.contains(&(c, m))))
+            || (0..self.classes.len()).any(|m| {
+                (0..self.classes.len()).all(|c| c == m || self.closure().contains(&(c, m)))
+            })
     }
 
     /// The id of a class dominating every other class, if the hierarchy is
@@ -109,7 +149,7 @@ impl ClockAnalysis {
             return self.classes.first().map(|c| c.id);
         }
         (0..self.classes.len())
-            .find(|&m| (0..self.classes.len()).all(|c| c == m || self.closure.contains(&(c, m))))
+            .find(|&m| (0..self.classes.len()).all(|c| c == m || self.closure().contains(&(c, m))))
     }
 
     /// `true` iff `a` and `b` provably share presence instants: either the
@@ -118,7 +158,8 @@ impl ClockAnalysis {
     pub fn equal_clock(&self, a: &SigName, b: &SigName) -> bool {
         match (self.class_of(a), self.class_of(b)) {
             (Some(ca), Some(cb)) => {
-                ca == cb || (self.closure.contains(&(ca, cb)) && self.closure.contains(&(cb, ca)))
+                ca == cb
+                    || (self.closure().contains(&(ca, cb)) && self.closure().contains(&(cb, ca)))
             }
             _ => false,
         }
@@ -141,7 +182,7 @@ impl ClockAnalysis {
         // an input anchors the hierarchy when its class dominates every class
         let anchored = inputs.iter().any(|i| {
             self.class_of(i).is_some_and(|ci| {
-                (0..self.classes.len()).all(|c| c == ci || self.closure.contains(&(c, ci)))
+                (0..self.classes.len()).all(|c| c == ci || self.closure().contains(&(c, ci)))
             })
         });
         if anchored {
@@ -238,55 +279,66 @@ pub fn const_guard_source(e: &Expr) -> Option<&SigName> {
 }
 
 /// Internal symbolic clock of an expression, over the analyzer's dense
-/// signal indices (the hot path never touches a name).
+/// signal indices (the hot path never touches a name). Index sets are
+/// sorted, deduplicated vectors.
 enum ClockTerm {
     /// Same clock as a signal.
     Sig(u32),
     /// Sampled: included in the clocks of `uppers`.
-    Sampled { uppers: BTreeSet<u32> },
+    Sampled { uppers: Vec<u32> },
     /// Union: includes the clocks of `lowers`; included in nothing known.
-    Union { lowers: BTreeSet<u32>, uppers: BTreeSet<u32> },
+    Union { lowers: Vec<u32>, uppers: Vec<u32> },
     /// Adapts to context (constants).
     Context,
 }
 
 impl ClockTerm {
-    fn uppers(&self) -> BTreeSet<u32> {
+    fn uppers(&self) -> &[u32] {
         match self {
-            ClockTerm::Sig(s) => [*s].into(),
-            ClockTerm::Sampled { uppers } | ClockTerm::Union { uppers, .. } => uppers.clone(),
-            ClockTerm::Context => BTreeSet::new(),
+            ClockTerm::Sig(s) => std::slice::from_ref(s),
+            ClockTerm::Sampled { uppers } | ClockTerm::Union { uppers, .. } => uppers,
+            ClockTerm::Context => &[],
         }
     }
 
-    fn lowers(&self) -> BTreeSet<u32> {
+    fn lowers(&self) -> &[u32] {
         match self {
-            ClockTerm::Sig(s) => [*s].into(),
-            ClockTerm::Union { lowers, .. } => lowers.clone(),
-            ClockTerm::Sampled { .. } | ClockTerm::Context => BTreeSet::new(),
+            ClockTerm::Sig(s) => std::slice::from_ref(s),
+            ClockTerm::Union { lowers, .. } => lowers,
+            ClockTerm::Sampled { .. } | ClockTerm::Context => &[],
         }
     }
 }
 
-struct Analyzer {
+/// The union of two sorted index sets.
+fn set_union(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out: Vec<u32> = a.iter().chain(b).copied().collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// The intersection of two sorted index sets.
+fn set_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
+    a.iter().copied().filter(|x| b.binary_search(x).is_ok()).collect()
+}
+
+struct Analyzer<'c> {
     /// Dense index per signal name, grown lazily for names the component
     /// never declares (resolution may not have run yet).
-    index: polysig_tagged::hash::FxHashMap<SigName, u32>,
-    names: Vec<SigName>,
+    index: polysig_tagged::hash::FxHashMap<&'c SigName, u32>,
     parent: Vec<u32>,
     /// subset edges between signals: (sub, sup)
-    subset: BTreeSet<(u32, u32)>,
+    subset: Vec<(u32, u32)>,
 }
 
-impl Analyzer {
-    fn id(&mut self, x: &SigName) -> u32 {
-        if let Some(&i) = self.index.get(x) {
-            return i;
+impl<'c> Analyzer<'c> {
+    fn id(&mut self, x: &'c SigName) -> u32 {
+        let next = self.parent.len() as u32;
+        let i = *self.index.entry(x).or_insert(next);
+        if i == next {
+            self.parent.push(i);
         }
-        let i = self.names.len() as u32;
-        self.index.insert(x.clone(), i);
-        self.names.push(x.clone());
-        self.parent.push(i);
         i
     }
 
@@ -315,7 +367,7 @@ impl Analyzer {
 
     /// Clock of an expression; emits equality/subset constraints as a side
     /// effect.
-    fn clock_of(&mut self, e: &Expr) -> ClockTerm {
+    fn clock_of(&mut self, e: &'c Expr) -> ClockTerm {
         match e {
             Expr::Var(x) => ClockTerm::Sig(self.id(x)),
             Expr::Const(_) => ClockTerm::Context,
@@ -324,17 +376,15 @@ impl Analyzer {
             Expr::When { body, cond } => {
                 let tb = self.clock_of(body);
                 let tc = self.clock_of(cond);
-                let mut uppers = tb.uppers();
-                uppers.extend(tc.uppers());
-                ClockTerm::Sampled { uppers }
+                ClockTerm::Sampled { uppers: set_union(tb.uppers(), tc.uppers()) }
             }
             Expr::Default { left, right } => {
                 let tl = self.clock_of(left);
                 let tr = self.clock_of(right);
-                let lowers: BTreeSet<u32> = tl.lowers().union(&tr.lowers()).copied().collect();
-                let uppers: BTreeSet<u32> =
-                    tl.uppers().intersection(&tr.uppers()).copied().collect();
-                ClockTerm::Union { lowers, uppers }
+                ClockTerm::Union {
+                    lowers: set_union(tl.lowers(), tr.lowers()),
+                    uppers: set_intersection(tl.uppers(), tr.uppers()),
+                }
             }
             Expr::Binary { left, right, .. } => {
                 let tl = self.clock_of(left);
@@ -369,9 +419,8 @@ impl Analyzer {
 pub fn analyze_component(c: &Component) -> ClockAnalysis {
     let mut az = Analyzer {
         index: polysig_tagged::hash::FxHashMap::default(),
-        names: Vec::with_capacity(c.decls.len()),
         parent: Vec::with_capacity(c.decls.len()),
-        subset: BTreeSet::new(),
+        subset: Vec::new(),
     };
     let decl_ids: Vec<u32> = c.decls.iter().map(|d| az.id(&d.name)).collect();
     for stmt in &c.stmts {
@@ -383,12 +432,8 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
                     ClockTerm::Sig(y) => az.union(lhs, *y),
                     ClockTerm::Context => {}
                     _ => {
-                        for u in term.uppers() {
-                            az.subset.insert((lhs, u));
-                        }
-                        for l in term.lowers() {
-                            az.subset.insert((l, lhs));
-                        }
+                        az.subset.extend(term.uppers().iter().map(|&u| (lhs, u)));
+                        az.subset.extend(term.lowers().iter().map(|&l| (l, lhs)));
                     }
                 }
             }
@@ -402,10 +447,11 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
     }
 
     // build classes over the declared signals, in declaration order
-    let mut rep_to_class: Vec<usize> = vec![usize::MAX; az.names.len()];
+    let n = az.parent.len();
+    let mut rep_to_class: Vec<usize> = vec![usize::MAX; n];
     let mut classes: Vec<ClockClass> = Vec::new();
-    let mut class_of: BTreeMap<SigName, usize> = BTreeMap::new();
-    let mut class_of_id: Vec<usize> = vec![usize::MAX; az.names.len()];
+    let mut decl_classes: Vec<usize> = Vec::with_capacity(c.decls.len());
+    let mut class_of_id: Vec<usize> = vec![usize::MAX; n];
     for (&sid, d) in decl_ids.iter().zip(&c.decls) {
         let rep = az.find(sid) as usize;
         if rep_to_class[rep] == usize::MAX {
@@ -414,7 +460,7 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
         }
         let id = rep_to_class[rep];
         classes[id].members.push(d.name.clone());
-        class_of.insert(d.name.clone(), id);
+        decl_classes.push(id);
         class_of_id[sid as usize] = id;
     }
 
@@ -427,25 +473,13 @@ pub fn analyze_component(c: &Component) -> ClockAnalysis {
         }
     }
 
-    // transitive closure (tiny graphs — Floyd-Warshall style)
-    let n = classes.len();
-    let mut closure = edges.clone();
-    loop {
-        let mut grew = false;
-        let snapshot: Vec<(usize, usize)> = closure.iter().copied().collect();
-        for &(a, b) in &snapshot {
-            for k in 0..n {
-                if closure.contains(&(b, k)) && a != k && closure.insert((a, k)) {
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            break;
-        }
+    ClockAnalysis {
+        classes,
+        decl_classes,
+        class_of: OnceLock::new(),
+        edges,
+        closure: OnceLock::new(),
     }
-
-    ClockAnalysis { classes, class_of, edges, closure }
 }
 
 #[cfg(test)]

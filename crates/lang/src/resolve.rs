@@ -8,8 +8,9 @@
 //!   single-producer assumption below Theorem 2 — multi-producer designs
 //!   must go through explicit fork/merge components).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
+use polysig_tagged::hash::FxHashMap;
 use polysig_tagged::SigName;
 
 use crate::ast::{Component, Program, Role, Statement};
@@ -19,67 +20,65 @@ use crate::error::LangError;
 ///
 /// # Errors
 ///
-/// Returns the first violated rule as a [`LangError`].
+/// Returns the first violated rule as a [`LangError`]: duplicate
+/// declarations in declaration order, then statement by statement (an
+/// equation's undeclared right-hand-side names in name order), then
+/// missing definitions in declaration order.
 pub fn resolve_component(c: &Component) -> Result<(), LangError> {
-    // no duplicate declarations
-    let mut seen: BTreeSet<&SigName> = BTreeSet::new();
-    for d in &c.decls {
-        if !seen.insert(&d.name) {
+    // no duplicate declarations; `slot` maps a name to its declaration
+    let mut slot: FxHashMap<&SigName, usize> = FxHashMap::default();
+    slot.reserve(c.decls.len());
+    for (i, d) in c.decls.iter().enumerate() {
+        if slot.insert(&d.name, i).is_some() {
             return Err(LangError::DuplicateDeclaration {
                 component: c.name.clone(),
                 name: d.name.clone(),
             });
         }
     }
-    let declared: BTreeSet<SigName> = c.names();
+    let undeclared = |name: &SigName| LangError::UndeclaredSignal {
+        component: c.name.clone(),
+        name: name.clone(),
+    };
 
-    let mut defined: BTreeSet<SigName> = BTreeSet::new();
+    let mut defined = vec![false; c.decls.len()];
     for stmt in &c.stmts {
         match stmt {
             Statement::Eq(eq) => {
-                if !declared.contains(&eq.lhs) {
-                    return Err(LangError::UndeclaredSignal {
-                        component: c.name.clone(),
-                        name: eq.lhs.clone(),
-                    });
-                }
-                if c.decl(&eq.lhs).expect("declared").role == Role::Input {
+                let Some(&i) = slot.get(&eq.lhs) else { return Err(undeclared(&eq.lhs)) };
+                if c.decls[i].role == Role::Input {
                     return Err(LangError::InputDefined {
                         component: c.name.clone(),
                         name: eq.lhs.clone(),
                     });
                 }
-                if !defined.insert(eq.lhs.clone()) {
+                if std::mem::replace(&mut defined[i], true) {
                     return Err(LangError::MultipleDefinitions {
                         component: c.name.clone(),
                         name: eq.lhs.clone(),
                     });
                 }
-                for v in eq.rhs.free_vars() {
-                    if !declared.contains(&v) {
-                        return Err(LangError::UndeclaredSignal {
-                            component: c.name.clone(),
-                            name: v,
-                        });
+                let mut first: Option<&SigName> = None;
+                eq.rhs.for_each_var(&mut |v| {
+                    if !slot.contains_key(v) && first.is_none_or(|f| v < f) {
+                        first = Some(v);
                     }
+                });
+                if let Some(v) = first {
+                    return Err(undeclared(v));
                 }
             }
             Statement::Sync(names) => {
-                for n in names {
-                    if !declared.contains(n) {
-                        return Err(LangError::UndeclaredSignal {
-                            component: c.name.clone(),
-                            name: n.clone(),
-                        });
-                    }
+                if let Some(n) = names.iter().find(|n| !slot.contains_key(n)) {
+                    return Err(undeclared(n));
                 }
             }
         }
     }
 
     // outputs and locals must be defined
-    for d in &c.decls {
-        if d.role != Role::Input && !defined.contains(&d.name) {
+    for (d, &defined) in c.decls.iter().zip(&defined) {
+        if d.role != Role::Input && !defined {
             return Err(LangError::MissingDefinition {
                 component: c.name.clone(),
                 name: d.name.clone(),

@@ -1,6 +1,7 @@
 //! Type checking (bool/int, the paper's value domain `V`).
 
-use polysig_tagged::ValueType;
+use polysig_tagged::hash::FxHashMap;
+use polysig_tagged::{SigName, ValueType};
 
 use crate::ast::{Binop, Component, Expr, Program, Statement, Unop};
 use crate::error::LangError;
@@ -17,6 +18,16 @@ pub fn infer_expr(
     signal: &polysig_tagged::SigName,
     e: &Expr,
 ) -> Result<ValueType, LangError> {
+    infer(c, &|x| c.decl(x).map(|d| d.ty), signal, e)
+}
+
+/// [`infer_expr`] with the declared types looked up through `ty`.
+fn infer(
+    c: &Component,
+    ty: &impl Fn(&SigName) -> Option<ValueType>,
+    signal: &SigName,
+    e: &Expr,
+) -> Result<ValueType, LangError> {
     let type_err = |expected: ValueType, found: ValueType, context: &str| LangError::Type {
         component: c.name.clone(),
         signal: signal.clone(),
@@ -24,36 +35,37 @@ pub fn infer_expr(
         found,
         context: context.to_string(),
     };
+    let infer = |e: &Expr| infer(c, ty, signal, e);
     match e {
-        Expr::Var(x) => c.decl(x).map(|d| d.ty).ok_or_else(|| LangError::UndeclaredSignal {
+        Expr::Var(x) => ty(x).ok_or_else(|| LangError::UndeclaredSignal {
             component: c.name.clone(),
             name: x.clone(),
         }),
         Expr::Const(v) => Ok(v.ty()),
         Expr::Pre { init, body } => {
-            let t = infer_expr(c, signal, body)?;
+            let t = infer(body)?;
             if init.ty() != t {
                 return Err(type_err(t, init.ty(), "initial value of pre"));
             }
             Ok(t)
         }
         Expr::When { body, cond } => {
-            let tc = infer_expr(c, signal, cond)?;
+            let tc = infer(cond)?;
             if tc != ValueType::Bool {
                 return Err(type_err(ValueType::Bool, tc, "condition of when"));
             }
-            infer_expr(c, signal, body)
+            infer(body)
         }
         Expr::Default { left, right } => {
-            let tl = infer_expr(c, signal, left)?;
-            let tr = infer_expr(c, signal, right)?;
+            let tl = infer(left)?;
+            let tr = infer(right)?;
             if tl != tr {
                 return Err(type_err(tl, tr, "right operand of default"));
             }
             Ok(tl)
         }
         Expr::Unary { op, arg } => {
-            let ta = infer_expr(c, signal, arg)?;
+            let ta = infer(arg)?;
             match op {
                 Unop::Not => {
                     if ta != ValueType::Bool {
@@ -71,8 +83,8 @@ pub fn infer_expr(
             }
         }
         Expr::Binary { op, left, right } => {
-            let tl = infer_expr(c, signal, left)?;
-            let tr = infer_expr(c, signal, right)?;
+            let tl = infer(left)?;
+            let tr = infer(right)?;
             if op.takes_ints() {
                 if tl != ValueType::Int {
                     return Err(type_err(ValueType::Int, tl, "left operand"));
@@ -102,16 +114,21 @@ pub fn infer_expr(
 ///
 /// Returns the first type mismatch found.
 pub fn check_component(c: &Component) -> Result<(), LangError> {
+    // a name declared twice types as its first declaration, as
+    // `Component::decl` finds it
+    let mut declared: FxHashMap<&SigName, ValueType> = FxHashMap::default();
+    declared.reserve(c.decls.len());
+    for d in &c.decls {
+        declared.entry(&d.name).or_insert(d.ty);
+    }
+    let ty = |x: &SigName| declared.get(x).copied();
     for stmt in &c.stmts {
         if let Statement::Eq(eq) = stmt {
-            let declared = c
-                .decl(&eq.lhs)
-                .ok_or_else(|| LangError::UndeclaredSignal {
-                    component: c.name.clone(),
-                    name: eq.lhs.clone(),
-                })?
-                .ty;
-            let inferred = infer_expr(c, &eq.lhs, &eq.rhs)?;
+            let declared = ty(&eq.lhs).ok_or_else(|| LangError::UndeclaredSignal {
+                component: c.name.clone(),
+                name: eq.lhs.clone(),
+            })?;
+            let inferred = infer(c, &ty, &eq.lhs, &eq.rhs)?;
             if declared != inferred {
                 return Err(LangError::Type {
                     component: c.name.clone(),

@@ -163,7 +163,7 @@ pub(crate) fn lower(inp: &LowerInput<'_>) -> Option<CompiledComponent> {
     let check_edges: Box<[(u32, u32)]> = inp
         .subset_edges
         .iter()
-        .filter(|e| !discharged.contains(e))
+        .filter(|e| discharged.binary_search(e).is_err())
         .map(|&(sub, sup)| (inp.groups[sub][0] as u32, inp.groups[sup][0] as u32))
         .collect();
     Some(CompiledComponent {
@@ -537,11 +537,11 @@ fn maybe_ubiquitous(e: &CExpr) -> bool {
 ///   the branches' *common* implications survive;
 /// * `Binary`/`Unary` — a non-absent pointwise result needs every operand
 ///   non-absent (a present/absent mix bails, absent/ubiquitous is absent).
-fn presence_uppers(e: &CExpr, acc: &mut BTreeSet<usize>) {
+///
+/// Pushes onto `acc`, possibly with repetitions.
+fn presence_uppers(e: &CExpr, acc: &mut Vec<usize>) {
     match e {
-        CExpr::Var(i) => {
-            acc.insert(*i);
-        }
+        CExpr::Var(i) => acc.push(*i),
         CExpr::Const(_) => {}
         CExpr::Pre { body, .. } => presence_uppers(body, acc),
         CExpr::When { body, cond } => {
@@ -549,11 +549,12 @@ fn presence_uppers(e: &CExpr, acc: &mut BTreeSet<usize>) {
             presence_uppers(cond, acc);
         }
         CExpr::Default { left, right } => {
-            let mut l = BTreeSet::new();
-            let mut r = BTreeSet::new();
+            let mut l = Vec::new();
+            let mut r = Vec::new();
             presence_uppers(left, &mut l);
             presence_uppers(right, &mut r);
-            acc.extend(l.intersection(&r));
+            r.sort_unstable();
+            acc.extend(l.into_iter().filter(|i| r.binary_search(i).is_ok()));
         }
         CExpr::Binary { left, right, .. } => {
             presence_uppers(left, acc);
@@ -573,11 +574,11 @@ fn presence_uppers(e: &CExpr, acc: &mut BTreeSet<usize>) {
 ///   evaluate ubiquitous: for `x := (5 when c) default y` the left branch
 ///   can come back `Ubiquitous(5)` and adapt to an *absent* `x` while `y`
 ///   is present, so `y ⊆ x` must stay a runtime check.
-fn presence_lowers(e: &CExpr, acc: &mut BTreeSet<usize>) {
+///
+/// Pushes onto `acc`, possibly with repetitions.
+fn presence_lowers(e: &CExpr, acc: &mut Vec<usize>) {
     match e {
-        CExpr::Var(i) => {
-            acc.insert(*i);
-        }
+        CExpr::Var(i) => acc.push(*i),
         CExpr::Const(_) => {}
         CExpr::Pre { body, .. } => presence_lowers(body, acc),
         CExpr::When { .. } => {}
@@ -616,34 +617,33 @@ fn presence_lowers(e: &CExpr, acc: &mut BTreeSet<usize>) {
 /// group uniformity *before* edges and anchored groups are uniform by
 /// `EvalClock` construction: on any committing run every group member
 /// agrees with its representative.
-fn discharged_edges(inp: &LowerInput<'_>) -> BTreeSet<(usize, usize)> {
+///
+/// Returned sorted and deduplicated.
+fn discharged_edges(inp: &LowerInput<'_>) -> Vec<(usize, usize)> {
     let mut group_of = vec![usize::MAX; inp.signal_count];
     for (g, group) in inp.groups.iter().enumerate() {
         for &i in group {
             group_of[i] = g;
         }
     }
-    let mut discharged = BTreeSet::new();
+    let mut discharged = Vec::new();
+    let mut signals = Vec::new();
     for (lhs, rhs) in inp.equations {
         let lg = group_of[*lhs];
         if lg == usize::MAX {
             continue;
         }
-        let mut ups = BTreeSet::new();
-        presence_uppers(rhs, &mut ups);
-        for u in ups {
-            if group_of[u] != usize::MAX {
-                discharged.insert((lg, group_of[u]));
-            }
-        }
-        let mut lows = BTreeSet::new();
-        presence_lowers(rhs, &mut lows);
-        for s in lows {
-            if group_of[s] != usize::MAX {
-                discharged.insert((group_of[s], lg));
-            }
-        }
+        signals.clear();
+        presence_uppers(rhs, &mut signals);
+        let known = signals.iter().filter(|&&u| group_of[u] != usize::MAX);
+        discharged.extend(known.map(|&u| (lg, group_of[u])));
+        signals.clear();
+        presence_lowers(rhs, &mut signals);
+        let known = signals.iter().filter(|&&s| group_of[s] != usize::MAX);
+        discharged.extend(known.map(|&s| (group_of[s], lg)));
     }
+    discharged.sort_unstable();
+    discharged.dedup();
     discharged
 }
 

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod compile;
+pub mod elaborate;
 pub mod engine;
 pub mod env;
 pub mod error;
@@ -52,6 +53,7 @@ pub mod scenario;
 pub mod schedule;
 pub mod status;
 
+pub use elaborate::ComponentPart;
 pub use engine::{Run, SimCheckpoint, Simulator};
 pub use env::DenseEnv;
 pub use error::SimError;

@@ -16,18 +16,18 @@
 //!   it converts a `BTreeMap<SigName, Value>` through the interner, runs
 //!   [`Reactor::react_dense`], and renders the result back to names.
 
-use std::borrow::Cow;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use polysig_lang::clock::analyze_component;
-use polysig_lang::{Binop, Component, Program, Statement, Unop};
+use polysig_lang::{Binop, Component, LangError, Program, Role, Unop};
 use polysig_tagged::{Interner, SigId, SigName, Value, ValueType};
 
 use crate::compile::{lower, LowerInput};
+use crate::elaborate::{ComponentPart, PartBody, PartError};
 use crate::env::DenseEnv;
 use crate::error::SimError;
-use crate::ir::{compile, CExpr};
+use crate::ir::CExpr;
 use crate::schedule::{CompiledComponent, Flow};
 use crate::status::Status;
 
@@ -184,17 +184,19 @@ impl Reactor {
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_component(c: &Component) -> Result<Reactor, SimError> {
-        Reactor::for_program(&Program::single(c.clone()))
+        Reactor::link(&[&ComponentPart::elaborate(c)])
     }
 
     /// Elaborates a program (all components merged into one synchronous
-    /// reaction system; shared names connect them).
+    /// reaction system; shared names connect them): each component is
+    /// elaborated on its own ([`ComponentPart::elaborate`]), then the parts
+    /// are linked ([`Reactor::link`]).
     ///
     /// # Errors
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, CompileMode::Auto)
+        Reactor::build(&elaborate_all(p), true, CompileMode::Auto)
     }
 
     /// Like [`Reactor::for_program`] but always interprets, even when a
@@ -206,7 +208,7 @@ impl Reactor {
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program_interpreted(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, CompileMode::Never)
+        Reactor::build(&elaborate_all(p), true, CompileMode::Never)
     }
 
     /// Like [`Reactor::for_program`] but attempts to lower a static
@@ -218,7 +220,7 @@ impl Reactor {
     ///
     /// Returns resolution or type errors from the language passes.
     pub fn for_program_compiled(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, true, CompileMode::Always)
+        Reactor::build(&elaborate_all(p), true, CompileMode::Always)
     }
 
     /// Like [`Reactor::for_program`] but *without* the static equation
@@ -227,62 +229,156 @@ impl Reactor {
     /// `sim_scheduling` ablation; behavior is identical. Never compiled
     /// (the lowering requires the schedule).
     pub fn for_program_unscheduled(p: &Program) -> Result<Reactor, SimError> {
-        Reactor::build(p, false, CompileMode::Never)
+        Reactor::build(&elaborate_all(p), false, CompileMode::Never)
     }
 
-    fn build(p: &Program, schedule: bool, mode: CompileMode) -> Result<Reactor, SimError> {
-        let disambiguated = disambiguate_locals(p);
-        let p: &Program = &disambiguated;
-        polysig_lang::resolve::resolve_program(p)?;
-        polysig_lang::types::check_program(p)?;
+    /// Links elaborated parts into one reactor: the second half of
+    /// [`Reactor::for_program`], which elaborates each component with
+    /// [`ComponentPart::elaborate`] and then links them in program order.
+    /// Linking parts cached from an earlier network therefore builds
+    /// exactly the reactor `for_program` builds for the same components —
+    /// same ids, registers, schedule and first error.
+    ///
+    /// # Errors
+    ///
+    /// Returns resolution or type errors from the language passes.
+    pub fn link<P: Borrow<ComponentPart>>(parts: &[P]) -> Result<Reactor, SimError> {
+        Reactor::build(parts, true, CompileMode::Auto)
+    }
 
-        // intern all declared names; ids are dense indices in declaration
-        // order, so a SigId doubles as a slot-vector index everywhere below
-        let mut interner = Interner::new();
-        let mut types: Vec<ValueType> = Vec::new();
-        for c in &p.components {
-            for d in &c.decls {
-                let before = interner.len();
-                let id = interner.intern(&d.name);
-                if id.index() == before {
-                    types.push(d.ty);
+    fn build<P: Borrow<ComponentPart>>(
+        parts: &[P],
+        schedule: bool,
+        mode: CompileMode,
+    ) -> Result<Reactor, SimError> {
+        let parts: Vec<&ComponentPart> = parts.iter().map(Borrow::borrow).collect();
+        // intern every name as declared, then one pass over every
+        // declaration: how often each name is declared, and the first
+        // single-writer and interface-type violations
+        let mut names = intern_names(&parts, |_, _| false);
+        let declared_n = names.interner.len();
+        let mut declared = vec![0u32; declared_n];
+        let mut writer: Vec<Option<&str>> = vec![None; declared_n];
+        let mut interface: Vec<Option<(&str, ValueType)>> = vec![None; declared_n];
+        let mut clash: Option<(usize, LangError)> = None;
+        let mut mismatch: Option<LangError> = None;
+        for (k, (part, ids)) in parts.iter().zip(&names.ids).enumerate() {
+            for (d, &g) in part.decls.iter().zip(ids) {
+                declared[g] += 1;
+                if d.role == Role::Output {
+                    match writer[g] {
+                        Some(prev) if clash.is_none() => {
+                            let components = (prev.to_string(), part.name.clone());
+                            clash = Some((
+                                k,
+                                LangError::MultipleWriters { name: d.name.clone(), components },
+                            ));
+                        }
+                        Some(_) => {}
+                        None => writer[g] = Some(&part.name),
+                    }
+                }
+                if d.role != Role::Local {
+                    match interface[g] {
+                        Some((other, ty)) if ty != d.ty && mismatch.is_none() => {
+                            mismatch = Some(LangError::Type {
+                                component: part.name.clone(),
+                                signal: d.name.clone(),
+                                expected: ty,
+                                found: d.ty,
+                                context: format!("interface mismatch with component `{other}`"),
+                            });
+                        }
+                        Some(_) => {}
+                        None => interface[g] = Some((&part.name, d.ty)),
+                    }
                 }
             }
         }
+        // a local whose name is declared more than once is renamed to
+        // `<component>.<name>`: in the merged reaction system two
+        // components' private state must never alias (shared inputs and
+        // outputs keep their names — that sharing is the wiring)
+        let qualify = |k: usize, l: usize| {
+            parts[k].decls[l].role == Role::Local && declared[names.ids[k][l]] > 1
+        };
+        let own_error = |k: usize, e: &LangError| -> SimError {
+            let part = parts[k];
+            let renamed: Vec<&SigName> = (0..part.decls.len())
+                .filter(|&l| qualify(k, l))
+                .map(|l| &part.decls[l].name)
+                .collect();
+            part.error_in_network(e, &renamed).into()
+        };
 
-        let mut input_ids: Vec<SigId> = p
-            .external_inputs()
+        // report errors in the order the whole-program passes met them:
+        // each component's resolution plus the single-writer rule, then
+        // each component's types, then interface types
+        for (k, part) in parts.iter().enumerate() {
+            if let Err(PartError::Resolve(e)) = &part.body {
+                return Err(own_error(k, e));
+            }
+            if let Some((_, e)) = clash.as_ref().filter(|(at, _)| *at == k) {
+                return Err(e.clone().into());
+            }
+        }
+        let mut bodies: Vec<&PartBody> = Vec::with_capacity(parts.len());
+        for (k, part) in parts.iter().enumerate() {
+            match &part.body {
+                Ok(body) => bodies.push(body),
+                Err(PartError::Type(e) | PartError::Resolve(e)) => return Err(own_error(k, e)),
+            }
+        }
+        if let Some(e) = mismatch {
+            return Err(e.into());
+        }
+        if (0..parts.len()).any(|k| (0..parts[k].decls.len()).any(|l| qualify(k, l))) {
+            names = intern_names(&parts, qualify);
+        }
+        let Names { interner, types, is_output, ids } = names;
+        let n = interner.len();
+
+        // external inputs: declared inputs no component outputs
+        let mut input_ids: Vec<SigId> = parts
             .iter()
-            .map(|n| interner.lookup(n).expect("external input is declared"))
+            .zip(&ids)
+            .flat_map(|(part, local)| {
+                part.decls.iter().zip(local).filter(|(d, _)| d.role == Role::Input)
+            })
+            .filter(|&(_, &g)| !is_output[g])
+            .map(|(_, &g)| SigId(g as u32))
             .collect();
         input_ids.sort_unstable();
         input_ids.dedup();
-        let mut is_input = vec![false; interner.len()];
+        let mut is_input = vec![false; n];
         for &id in &input_ids {
             is_input[id.index()] = true;
         }
 
-        let idx = |n: &SigName| interner.lookup(n).expect("resolved name is declared").index();
-
-        // compile equations, allocating registers; record each component's
-        // contiguous register span for cross-layout state transplants
+        // place each part's equations and registers; record each
+        // component's contiguous register span for cross-layout state
+        // transplants
         let mut registers: Vec<Value> = Vec::new();
         let mut equations: Vec<(usize, CExpr)> = Vec::new();
-        let mut register_spans: Vec<(String, usize, usize)> = Vec::new();
-        for c in &p.components {
+        // equation `i`'s instantaneous dependencies are
+        // `deps[dep_start[i]..dep_start[i + 1]]`
+        let mut deps: Vec<usize> = Vec::new();
+        let mut dep_start: Vec<usize> = vec![0];
+        let mut register_spans: Vec<(String, usize, usize)> = Vec::with_capacity(parts.len());
+        for ((part, body), local) in parts.iter().zip(&bodies).zip(&ids) {
             let span_start = registers.len();
-            for stmt in &c.stmts {
-                if let Statement::Eq(eq) = stmt {
-                    let rhs = compile(&eq.rhs, &|n| idx(n), &mut registers);
-                    equations.push((idx(&eq.lhs), rhs));
-                }
+            for ((lhs, rhs), body_deps) in body.equations.iter().zip(&body.instant_deps) {
+                equations.push((local[*lhs], rhs.relocated(local, span_start)));
+                deps.extend(body_deps.iter().map(|&d| local[d]));
+                dep_start.push(deps.len());
             }
-            register_spans.push((c.name.clone(), span_start, registers.len() - span_start));
+            registers.extend_from_slice(&body.registers);
+            register_spans.push((part.name.clone(), span_start, body.registers.len()));
         }
 
         // clock groups: union-find over indices, seeded by each component's
         // clock analysis (which already folds in sync constraints)
-        let mut parent: Vec<usize> = (0..interner.len()).collect();
+        let mut parent: Vec<usize> = (0..n).collect();
         fn find(parent: &mut Vec<usize>, i: usize) -> usize {
             if parent[i] != i {
                 let r = find(parent, parent[i]);
@@ -298,32 +394,26 @@ impl Reactor {
             }
         };
         let mut sig_subset: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for c in &p.components {
-            let analysis = analyze_component(c);
-            for class in &analysis.classes {
-                for w in class.members.windows(2) {
-                    union(&mut parent, idx(&w[0]), idx(&w[1]));
+        for (body, local) in bodies.iter().zip(&ids) {
+            for class in &body.clock_classes {
+                for w in class.windows(2) {
+                    union(&mut parent, local[w[0]], local[w[1]]);
                 }
             }
-            for (sub, sup) in analysis.edges() {
-                let sm = &analysis.classes[sub].members;
-                let pm = &analysis.classes[sup].members;
-                if let (Some(a), Some(b)) = (sm.first(), pm.first()) {
-                    sig_subset.insert((idx(a), idx(b)));
-                }
-            }
+            sig_subset.extend(body.subset.iter().map(|&(sub, sup)| (local[sub], local[sup])));
         }
 
         // groups from union-find roots
-        let mut root_to_group: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut root_to_group = vec![usize::MAX; n];
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of = vec![0usize; interner.len()];
+        let mut group_of = vec![0usize; n];
         for (i, slot) in group_of.iter_mut().enumerate() {
             let r = find(&mut parent, i);
-            let g = *root_to_group.entry(r).or_insert_with(|| {
+            if root_to_group[r] == usize::MAX {
+                root_to_group[r] = groups.len();
                 groups.push(Vec::new());
-                groups.len() - 1
-            });
+            }
+            let g = root_to_group[r];
             groups[g].push(i);
             *slot = g;
         }
@@ -342,8 +432,11 @@ impl Reactor {
         // its instantaneous dependencies lets most reactions converge in a
         // single fixpoint pass (the classic Signal compilation step; the
         // `sim_scheduling` ablation bench measures the win)
-        let (equations, acyclic) =
-            if schedule { schedule_equations(equations, p, &interner) } else { (equations, false) };
+        let (equations, acyclic) = if schedule {
+            schedule_equations(equations, &deps, &dep_start, n)
+        } else {
+            (equations, false)
+        };
         let eq_has_pre: Vec<bool> = equations.iter().map(|(_, rhs)| rhs.has_pre()).collect();
 
         // lower a static schedule when the clock analysis plus the acyclic
@@ -370,7 +463,6 @@ impl Reactor {
             ExecPlan::Interpreted
         };
 
-        let n = interner.len();
         Ok(Reactor {
             interner,
             types,
@@ -988,46 +1080,99 @@ impl Reactor {
     }
 }
 
+/// The network's signal table: ids are dense indices in declaration
+/// order, so a [`SigId`] doubles as a slot-vector index everywhere.
+struct Names {
+    interner: Interner,
+    /// The type of each id (its first declaration's).
+    types: Vec<ValueType>,
+    /// `is_output[id]` — some component outputs the signal.
+    is_output: Vec<bool>,
+    /// `ids[k][l]` is part `k`'s local id `l` in the network.
+    ids: Vec<Vec<usize>>,
+}
+
+/// Interns every declaration of `parts` in order — under
+/// `<component>.<name>` when `qualified(part, local id)` holds.
+fn intern_names(parts: &[&ComponentPart], qualified: impl Fn(usize, usize) -> bool) -> Names {
+    let mut names = Names {
+        interner: Interner::new(),
+        types: Vec::new(),
+        is_output: Vec::new(),
+        ids: Vec::new(),
+    };
+    for (k, part) in parts.iter().enumerate() {
+        let mut local = Vec::with_capacity(part.decls.len());
+        for (l, d) in part.decls.iter().enumerate() {
+            let before = names.interner.len();
+            let id = if qualified(k, l) {
+                names.interner.intern(part.qualified(&d.name))
+            } else {
+                names.interner.intern_name(&d.name)
+            };
+            if id.index() == before {
+                names.types.push(d.ty);
+                names.is_output.push(false);
+            }
+            names.is_output[id.index()] |= d.role == Role::Output;
+            local.push(id.index());
+        }
+        names.ids.push(local);
+    }
+    names
+}
+
+/// Elaborates every component of a program, in order.
+fn elaborate_all(p: &Program) -> Vec<ComponentPart> {
+    p.components.iter().map(ComponentPart::elaborate).collect()
+}
+
 /// Orders the compiled equations so that each signal's equation comes after
 /// the equations of its instantaneous dependencies (merged across
-/// components). Cyclic programs (which the language layer rejects for
-/// single components but a merged program could theoretically exhibit via
-/// clock feedback) keep their original order — the fixpoint still handles
-/// them, just in more passes.
+/// components; equation `i`'s are `deps[dep_start[i]..dep_start[i + 1]]`).
+/// Cyclic programs (which the language layer rejects for single components
+/// but a merged program could theoretically exhibit via clock feedback)
+/// keep their original order — the fixpoint still handles them, just in
+/// more passes.
 fn schedule_equations(
     equations: Vec<(usize, CExpr)>,
-    p: &Program,
-    interner: &Interner,
+    deps: &[usize],
+    dep_start: &[usize],
+    n: usize,
 ) -> (Vec<(usize, CExpr)>, bool) {
-    use std::collections::BTreeSet;
-    let n = interner.len();
-    let idx = |n: &SigName| interner.lookup(n).expect("resolved name is declared").index();
-    // instantaneous deps per defined index, as dense adjacency over SigIds
     let mut is_defined = vec![false; n];
     for (lhs, _) in &equations {
         is_defined[*lhs] = true;
     }
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut vars = BTreeSet::new();
-    for c in &p.components {
-        for eq in c.equations() {
-            vars.clear();
-            eq.rhs.collect_instant_vars(&mut vars);
-            let lhs = idx(&eq.lhs);
-            // only deps on *defined* signals can delay an equation; inputs
-            // are always decided before the first sweep
-            deps[lhs].extend(vars.iter().map(&idx).filter(|&d| is_defined[d]));
+    // instantaneous deps per defined signal, as dense adjacency over
+    // SigIds; only deps on *defined* signals can delay an equation —
+    // inputs are always decided before the first sweep
+    let mut deps_of: Vec<&[usize]> = vec![&[]; n];
+    for (i, (lhs, _)) in equations.iter().enumerate() {
+        deps_of[*lhs] = &deps[dep_start[i]..dep_start[i + 1]];
+    }
+    // reverse adjacency in one flat array: the dependents of `d` are
+    // `rdeps[rdep_start[d]..rdep_start[d + 1]]`, in ascending order
+    let mut indegree = vec![0usize; n];
+    let mut rdep_start = vec![0usize; n + 1];
+    for (lhs, ds) in deps_of.iter().enumerate() {
+        for &d in ds.iter().filter(|&&d| is_defined[d]) {
+            indegree[lhs] += 1;
+            rdep_start[d + 1] += 1;
+        }
+    }
+    for d in 0..n {
+        rdep_start[d + 1] += rdep_start[d];
+    }
+    let mut fill = rdep_start.clone();
+    let mut rdeps = vec![0usize; rdep_start[n]];
+    for (lhs, ds) in deps_of.iter().enumerate() {
+        for &d in ds.iter().filter(|&&d| is_defined[d]) {
+            rdeps[fill[d]] = lhs;
+            fill[d] += 1;
         }
     }
     // Kahn's algorithm over the defined signals only, queue-based: O(V + E)
-    let mut indegree = vec![0usize; n];
-    let mut rdeps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (lhs, ds) in deps.iter().enumerate() {
-        for &d in ds {
-            indegree[lhs] += 1;
-            rdeps[d].push(lhs);
-        }
-    }
     let mut queue: Vec<usize> = (0..n).filter(|&i| is_defined[i] && indegree[i] == 0).collect();
     let mut rank = vec![usize::MAX; n];
     let mut next_rank = 0usize;
@@ -1037,7 +1182,7 @@ fn schedule_equations(
         head += 1;
         rank[i] = next_rank;
         next_rank += 1;
-        for &r in &rdeps[i] {
+        for &r in &rdeps[rdep_start[i]..rdep_start[i + 1]] {
             indegree[r] -= 1;
             if indegree[r] == 0 {
                 queue.push(r);
@@ -1052,51 +1197,6 @@ fn schedule_equations(
     let mut scheduled = equations;
     scheduled.sort_by_key(|(lhs, _)| rank[*lhs]);
     (scheduled, true)
-}
-
-/// Renames component locals whose names collide with declarations in other
-/// components to `<component>.<name>`: in the merged reaction system, two
-/// components' private state must never alias (shared inputs/outputs keep
-/// their names — that sharing is the wiring).
-fn disambiguate_locals(p: &Program) -> Cow<'_, Program> {
-    use std::collections::btree_map::Entry;
-    let mut owners: BTreeMap<SigName, usize> = BTreeMap::new();
-    for c in &p.components {
-        for d in &c.decls {
-            match owners.entry(d.name.clone()) {
-                Entry::Vacant(e) => {
-                    e.insert(1);
-                }
-                Entry::Occupied(mut e) => *e.get_mut() += 1,
-            }
-        }
-    }
-    // collision-free programs (the common case — and every program the
-    // estimation loop compiles) are passed through without cloning
-    let clashes = |c: &polysig_lang::Component| {
-        c.decls.iter().any(|d| {
-            d.role == polysig_lang::Role::Local && owners.get(&d.name).copied().unwrap_or(0) > 1
-        })
-    };
-    if !p.components.iter().any(clashes) {
-        return Cow::Borrowed(p);
-    }
-    let mut out = p.clone();
-    for c in &mut out.components {
-        let colliding: Vec<SigName> = c
-            .decls
-            .iter()
-            .filter(|d| {
-                d.role == polysig_lang::Role::Local && owners.get(&d.name).copied().unwrap_or(0) > 1
-            })
-            .map(|d| d.name.clone())
-            .collect();
-        for l in colliding {
-            let fresh = SigName::from(format!("{}.{}", c.name, l));
-            *c = c.rename_signal(&l, &fresh);
-        }
-    }
-    Cow::Owned(out)
 }
 
 fn join_status(

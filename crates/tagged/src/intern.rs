@@ -66,11 +66,28 @@ impl Interner {
     /// Panics on the (absurd) 2^32nd distinct name.
     pub fn intern(&mut self, name: impl AsRef<str>) -> SigId {
         let name = name.as_ref();
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+        match self.ids.get(name) {
+            Some(&id) => id,
+            None => self.insert(SigName::from(name)),
         }
+    }
+
+    /// [`Interner::intern`] for a name already held as a [`SigName`]: a
+    /// new entry shares its storage instead of copying the text.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the (absurd) 2^32nd distinct name.
+    pub fn intern_name(&mut self, name: &SigName) -> SigId {
+        match self.ids.get(name) {
+            Some(&id) => id,
+            None => self.insert(name.clone()),
+        }
+    }
+
+    /// Appends a name not interned yet.
+    fn insert(&mut self, name: SigName) -> SigId {
         let id = SigId(u32::try_from(self.names.len()).expect("interner overflow"));
-        let name = SigName::from(name);
         self.names.push(name.clone());
         self.ids.insert(name, id);
         id
