@@ -21,6 +21,9 @@ cargo test -q --workspace
 echo "==> cargo test -q --workspace (POLYSIG_COMPILE=off: interpreter-only execution plans)"
 POLYSIG_COMPILE=off cargo test -q --workspace
 
+echo "==> cargo test --release over the benchmark package (perfbench/, its own workspace)"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> polysig-lint --deny warnings over the shipped programs"
 cargo build -q --release --bin polysig-lint
 ./target/release/polysig-lint --deny warnings \

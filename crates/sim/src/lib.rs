@@ -58,6 +58,6 @@ pub use engine::{Run, SimCheckpoint, Simulator};
 pub use env::DenseEnv;
 pub use error::SimError;
 pub use generator::{BurstyInputs, PeriodicInputs, RandomInputs, ScenarioGenerator};
-pub use reactor::{Reactor, ReactorState};
+pub use reactor::{ReactionView, Reactor, ReactorState};
 pub use scenario::Scenario;
 pub use status::Status;

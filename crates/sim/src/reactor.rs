@@ -12,6 +12,11 @@
 //!   [`DenseEnv`]s addressed by the reactor's own [`SigId`]s; a steady-state
 //!   reaction allocates nothing (status, update and output buffers are
 //!   reused across calls, names are only materialized on error paths).
+//! * [`Reactor::react_from`] — the explicit checker's hot path: the same
+//!   reaction, run from a borrowed register file and read in place (a
+//!   [`ReactionView`] over the executor's slots plus the successor
+//!   registers), so a caller that stores states elsewhere copies nothing
+//!   into or out of the reactor.
 //! * [`Reactor::react`] — a compatibility wrapper for name-keyed callers:
 //!   it converts a `BTreeMap<SigName, Value>` through the interner, runs
 //!   [`Reactor::react_dense`], and renders the result back to names.
@@ -131,6 +136,55 @@ impl ReactorState {
     /// The captured step counter.
     pub fn step(&self) -> usize {
         self.step
+    }
+}
+
+/// The signals present in one reaction, read in place from the buffer that
+/// produced them: the compiled executor's slot array, or a [`DenseEnv`].
+#[derive(Debug, Clone, Copy)]
+pub struct ReactionView<'a>(ViewRepr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum ViewRepr<'a> {
+    /// One slot per signal; present iff [`Flow::Present`] (the same rule
+    /// [`Reactor::react_dense`] uses to fill its output environment).
+    Slots(&'a [Flow]),
+    Env(&'a DenseEnv),
+}
+
+impl<'a> From<&'a DenseEnv> for ReactionView<'a> {
+    fn from(env: &'a DenseEnv) -> Self {
+        ReactionView(ViewRepr::Env(env))
+    }
+}
+
+impl ReactionView<'_> {
+    /// The value of `id`, or `None` when absent (out-of-range ids are
+    /// absent).
+    #[inline]
+    pub fn get(&self, id: SigId) -> Option<Value> {
+        match self.0 {
+            ViewRepr::Slots(slots) => match slots.get(id.index()) {
+                Some(Flow::Present(v)) => Some(*v),
+                _ => None,
+            },
+            ViewRepr::Env(env) => env.get(id),
+        }
+    }
+
+    /// `true` iff `id` is present.
+    #[inline]
+    pub fn is_present(&self, id: SigId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Iterates the present `(id, value)` pairs in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (SigId, Value)> + '_ {
+        let len = match self.0 {
+            ViewRepr::Slots(slots) => slots.len(),
+            ViewRepr::Env(env) => env.len(),
+        };
+        (0..len as u32).filter_map(|i| self.get(SigId(i)).map(|v| (SigId(i), v)))
     }
 }
 
@@ -687,6 +741,59 @@ impl Reactor {
         let result = self.react_interpreted(inputs, &mut scratch);
         self.scratch = scratch;
         result.map(|()| &self.out_env)
+    }
+
+    /// Executes one reaction from the register file `regs` instead of the
+    /// reactor's own, leaving the reactor's registers untouched — the
+    /// explicit checker's hot path, which keeps every state in its own
+    /// store. Returns the reaction's present signals and the successor
+    /// register file, both borrowed from the reactor's buffers until the
+    /// next reaction.
+    ///
+    /// Outputs, successor registers, errors and the step, pass and
+    /// evaluation counters are exactly those of [`Reactor::set_registers`]
+    /// followed by [`Reactor::react_dense`]: a compiled reaction that bails
+    /// re-runs on the interpreter here too. Only the buffer
+    /// [`Reactor::react_dense`] returns is not rebuilt on the compiled path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `regs.len()` differs from [`Reactor::register_count`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Reactor::react_dense`].
+    pub fn react_from(
+        &mut self,
+        regs: &[Value],
+        inputs: &DenseEnv,
+    ) -> Result<(ReactionView<'_>, &[Value]), SimError> {
+        assert_eq!(regs.len(), self.registers.len(), "register file size mismatch");
+        if let ExecPlan::Compiled(cc) = &self.plan {
+            let run = cc.execute(regs, inputs, &mut self.scratch.slots, &mut self.scratch.new_regs);
+            match run {
+                Ok(ops_run) => {
+                    self.evals += ops_run;
+                    self.passes += 1;
+                    self.step += 1;
+                    let n = self.interner.len();
+                    let view = ReactionView(ViewRepr::Slots(&self.scratch.slots[..n]));
+                    return Ok((view, &self.scratch.new_regs));
+                }
+                Err(ops_run) => self.evals += ops_run,
+            }
+        }
+        // the interpreter advances the reactor's own file: park that in
+        // `new_regs` meanwhile, and swap the successor out afterwards
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.new_regs.clear();
+        scratch.new_regs.extend_from_slice(regs);
+        std::mem::swap(&mut self.registers, &mut scratch.new_regs);
+        let result = self.react_interpreted(inputs, &mut scratch);
+        std::mem::swap(&mut self.registers, &mut scratch.new_regs);
+        self.scratch = scratch;
+        result?;
+        Ok((ReactionView::from(&self.out_env), &self.scratch.new_regs))
     }
 
     /// Executes one reaction on name-keyed maps — the compatibility
@@ -1654,5 +1761,52 @@ mod tests {
         assert_eq!(r.react_dense(&env).unwrap().get(x), Some(Value::Int(1)));
         env.unset(a);
         assert_eq!(r.react_dense(&env).unwrap().present_count(), 0);
+    }
+
+    #[test]
+    fn react_from_matches_set_registers_then_react_dense() {
+        // compiled and interpreted plans, including reactions that error:
+        // the borrowed-register path must agree with the copying one on
+        // outputs, successors and errors, and leave the reactor's own
+        // register file alone
+        for (plan, build) in [
+            ("compiled", Reactor::for_program_compiled as fn(&Program) -> _),
+            ("interpreted", Reactor::for_program_interpreted),
+        ] {
+            let p = parse_program(FIG2_BUFFER).unwrap();
+            let mut copying = build(&p).unwrap();
+            let mut borrowing = build(&p).unwrap();
+            let ids: Vec<SigId> =
+                ["msgin", "rd", "tick"].iter().map(|n| copying.sig_id(n).unwrap()).collect();
+            let own = borrowing.registers().to_vec();
+            let mut state = copying.registers().to_vec();
+            for k in 0..32u32 {
+                let mut env = DenseEnv::new(copying.signal_count());
+                if k % 2 == 0 {
+                    env.set(ids[0], Value::Int(k as i64));
+                }
+                if k % 3 == 0 {
+                    env.set(ids[1], Value::TRUE);
+                }
+                if k % 5 != 4 {
+                    env.set(ids[2], Value::TRUE);
+                }
+                copying.set_registers(&state);
+                let want = copying.react_dense(&env).cloned();
+                let got = borrowing.react_from(&state, &env);
+                match (want, got) {
+                    (Ok(out), Ok((view, next))) => {
+                        assert_eq!(view.iter().collect::<Vec<_>>(), out.iter().collect::<Vec<_>>());
+                        assert_eq!(next, copying.registers(), "{plan} step {k}");
+                        state = next.to_vec();
+                    }
+                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{plan}"),
+                    (a, b) => panic!("{plan} step {k}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+                }
+                assert_eq!(borrowing.registers(), own.as_slice(), "{plan}: own file untouched");
+            }
+            assert_eq!(copying.steps_taken(), borrowing.steps_taken(), "{plan}");
+            assert_eq!(copying.evals(), borrowing.evals(), "{plan}");
+        }
     }
 }

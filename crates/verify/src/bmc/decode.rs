@@ -46,7 +46,7 @@ pub(crate) fn replay(
         let reaction = reactor
             .react_dense(&env)
             .map_err(|e| internal(format!("symbolic trace does not replay at step {pos}: {e}")))?;
-        let violated = !check.holds_dense(reaction, &names);
+        let violated = !check.holds_dense(reaction.into(), &names);
         let last = pos + 1 == letters.len();
         if violated != last {
             return Err(internal(format!(

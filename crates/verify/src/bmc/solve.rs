@@ -184,13 +184,26 @@ impl Unroller {
                     SymVal::B(self.cnf.or_many(&on))
                 }
                 ValueType::Int => {
+                    // bits no driven value sets are constant false; the
+                    // rest share one selection buffer
+                    let set_bits = driving.iter().fold(0u64, |acc, (_, v)| match v {
+                        Value::Int(i) => acc | *i as u64,
+                        Value::Bool(_) => acc,
+                    });
+                    let mut on: Vec<Bit> = Vec::with_capacity(driving.len());
                     let mut word = Vec::with_capacity(super::cnf::W);
                     for j in 0..super::cnf::W {
-                        let on: Vec<Bit> = driving
-                            .iter()
-                            .filter(|(_, v)| matches!(v, Value::Int(i) if (*i >> j) & 1 == 1))
-                            .map(|(m, _)| Bit::Lit(m.lit))
-                            .collect();
+                        if (set_bits >> j) & 1 == 0 {
+                            word.push(Bit::Const(false));
+                            continue;
+                        }
+                        on.clear();
+                        on.extend(
+                            driving
+                                .iter()
+                                .filter(|(_, v)| matches!(v, Value::Int(i) if (*i >> j) & 1 == 1))
+                                .map(|(m, _)| Bit::Lit(m.lit)),
+                        );
                         word.push(self.cnf.or_many(&on));
                     }
                     SymVal::I(word)
@@ -210,21 +223,36 @@ impl Unroller {
     /// assumption, tracking the automaton state concretely. Returns the
     /// letter index sequence — the lexicographically-least shortest
     /// violating trace.
+    ///
+    /// The scan reuses models: the latest SAT model satisfies the fixed
+    /// prefix plus the violation, so the move it takes at step `t` is known
+    /// to be feasible there. Reaching that move, the scan takes it without
+    /// a solve; only the smaller candidates before it are solved. The
+    /// first feasible candidate in ascending order is therefore the same
+    /// one an all-solving scan picks.
     fn lex_minimize(&mut self, viol: Lit) -> Result<Vec<usize>, VerifyError> {
+        // kept explicitly: the scan's UNSAT solves discard the model
+        let mut model_moves = self.model_moves();
         let mut fixed: Vec<Lit> = Vec::new();
+        let mut assumptions: Vec<Lit> = Vec::new();
         let mut seq: Vec<usize> = Vec::new();
         let mut state = 0u32;
         for t in 0..self.step_moves.len() {
             let mut chosen: Option<(u32, u32)> = None;
-            for m in self.step_moves[t].iter().filter(|m| m.state == state) {
-                let mut assumptions = fixed.clone();
-                assumptions.push(m.lit);
-                assumptions.push(viol);
-                if self.cnf.solver.solve_assuming(&assumptions) {
-                    chosen = Some((m.letter, m.next));
-                    fixed.push(m.lit);
-                    break;
+            for (i, m) in self.step_moves[t].iter().enumerate().filter(|(_, m)| m.state == state) {
+                if model_moves[t] != Some(i) {
+                    assumptions.clear();
+                    assumptions.extend_from_slice(&fixed);
+                    assumptions.push(m.lit);
+                    assumptions.push(viol);
+                    if !self.cnf.solver.solve_assuming(&assumptions) {
+                        continue;
+                    }
+                    model_moves = self.model_moves();
                 }
+                chosen = Some((m.letter, m.next));
+                fixed.push(m.lit);
+                break;
             }
             let Some((letter, next)) = chosen else {
                 return Err(internal(format!(
@@ -235,6 +263,15 @@ impl Unroller {
             state = next;
         }
         Ok(seq)
+    }
+
+    /// Per encoded step, the position of the move the latest SAT model
+    /// takes (exactly one move is selected per step).
+    fn model_moves(&self) -> Vec<Option<usize>> {
+        self.step_moves
+            .iter()
+            .map(|moves| moves.iter().position(|m| self.cnf.solver.model_value(m.lit)))
+            .collect()
     }
 }
 
@@ -296,6 +333,18 @@ pub(crate) fn run_check(
     options: &CheckOptions,
     depth: usize,
 ) -> Result<CheckResult, VerifyError> {
+    check_counting_solves(program, alphabet, property, options, depth).map(|(r, _)| r)
+}
+
+/// [`run_check`], plus the number of SAT solves it made (depth queries and
+/// lexicographic minimization together).
+fn check_counting_solves(
+    program: &Program,
+    alphabet: &Alphabet,
+    property: &Property,
+    options: &CheckOptions,
+    depth: usize,
+) -> Result<(CheckResult, u64), VerifyError> {
     if alphabet.is_empty() {
         return Err(VerifyError::EmptyAlphabet);
     }
@@ -310,24 +359,26 @@ pub(crate) fn run_check(
         if un.cnf.solver.solve_assuming(&[vlit]) {
             let seq = un.lex_minimize(vlit)?;
             let cx = decode::replay(program, alphabet, &seq, property)?;
-            return Ok(CheckResult {
+            let result = CheckResult {
                 holds: false,
                 counterexample: Some(cx),
                 states_explored: 0,
                 transitions: 0,
                 pruned: 0,
                 depth_bounded: false,
-            });
+            };
+            return Ok((result, un.cnf.solver.num_solves()));
         }
     }
-    Ok(CheckResult {
+    let result = CheckResult {
         holds: true,
         counterexample: None,
         states_explored: 0,
         transitions: 0,
         pruned: 0,
         depth_bounded: true,
-    })
+    };
+    Ok((result, un.cnf.solver.num_solves()))
 }
 
 /// Bounded maximization of an integer signal up to `depth` reactions — the
@@ -382,4 +433,32 @@ pub(crate) fn run_bound(
         }
     }
     Ok(BoundResult { max: best, states_explored: 0, transitions: 0, depth_bounded: true })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_counting_solves;
+    use crate::alphabet::Alphabet;
+    use crate::bmc::Backend;
+    use crate::prop::Property;
+    use crate::reach::CheckOptions;
+    use polysig_gals::nfifo::nfifo_component;
+    use polysig_lang::Program;
+
+    #[test]
+    fn overflow_query_solve_count_is_pinned() {
+        // depths 1 and 2 are refuted, depth 3 is satisfiable (3 solves);
+        // minimizing its three moves then solves only the candidates that
+        // sort before each model's own move (11 more). A scan that solved
+        // every candidate, the model's move included, would make 15.
+        let p = Program::single(nfifo_component("ch", 2));
+        let alphabet = Alphabet::exhaustive(&p, &[1]).unwrap();
+        let options = CheckOptions { backend: Backend::Bmc { depth: 3 }, ..Default::default() };
+        let (r, solves) =
+            check_counting_solves(&p, &alphabet, &Property::never_true("ch_alarm"), &options, 3)
+                .unwrap();
+        assert!(!r.holds);
+        assert_eq!(r.counterexample.unwrap().len(), 3);
+        assert_eq!(solves, 14, "depth queries plus minimization solves");
+    }
 }

@@ -13,7 +13,7 @@
 //! identical at any thread count).
 
 use polysig_lang::Program;
-use polysig_sim::{DenseEnv, Reactor};
+use polysig_sim::{ReactionView, Reactor};
 use polysig_tagged::{SigId, SigName, Value};
 
 use crate::alphabet::{Alphabet, EnvAutomaton};
@@ -47,7 +47,7 @@ impl Inspect for MaxInspect {
     type Acc = Option<i64>;
 
     #[inline]
-    fn inspect(&self, reaction: &DenseEnv, acc: &mut Option<i64>) -> bool {
+    fn inspect(&self, reaction: ReactionView<'_>, acc: &mut Option<i64>) -> bool {
         if let Some(watched) = self.watched {
             if let Some(v) = reaction.get(watched).and_then(Value::as_int) {
                 *acc = Some(acc.map_or(v, |m| m.max(v)));
@@ -128,7 +128,7 @@ pub fn max_signal_value_with(
     let e = frontier::explore(&mut reactor, &compiled, &inspect, max_states, None, threads)?;
     Ok(BoundResult {
         max: e.acc,
-        states_explored: e.states.len(),
+        states_explored: e.states,
         transitions: e.transitions,
         depth_bounded: false,
     })

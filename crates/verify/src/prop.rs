@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use polysig_sim::{DenseEnv, Reactor};
+use polysig_sim::{ReactionView, Reactor};
 use polysig_tagged::{SigId, SigName, Value};
 
 /// A reaction as the checker sees it: present signals with their values,
@@ -119,9 +119,10 @@ pub(crate) enum DenseCheck<'p> {
 }
 
 impl DenseCheck<'_> {
-    /// Evaluates the bound property on one dense reaction. `names` is the
-    /// reactor's id-ordered name table, used only by the `Custom` fallback.
-    pub(crate) fn holds_dense(&self, env: &DenseEnv, names: &[SigName]) -> bool {
+    /// Evaluates the bound property on one reaction, reading the shaped
+    /// properties' one signal in place. `names` is the reactor's id-ordered
+    /// name table, used only by the `Custom` fallback.
+    pub(crate) fn holds_dense(&self, env: ReactionView<'_>, names: &[SigName]) -> bool {
         match self {
             DenseCheck::NeverTrue(id) => id.is_none_or(|id| env.get(id) != Some(Value::TRUE)),
             DenseCheck::NeverPresent(id) => id.is_none_or(|id| !env.is_present(id)),

@@ -16,7 +16,7 @@
 //! environment moves the program's clock constraints forbid (e.g. a write
 //! without the master tick). Genuine program errors still surface.
 
-use polysig_sim::{DenseEnv, Reactor};
+use polysig_sim::{ReactionView, Reactor};
 use polysig_tagged::SigName;
 
 use polysig_lang::Program;
@@ -94,7 +94,7 @@ impl Inspect for PropInspect<'_> {
     type Acc = ();
 
     #[inline]
-    fn inspect(&self, reaction: &DenseEnv, _acc: &mut ()) -> bool {
+    fn inspect(&self, reaction: ReactionView<'_>, _acc: &mut ()) -> bool {
         !self.check.holds_dense(reaction, self.names)
     }
 
@@ -160,7 +160,7 @@ pub fn check(
     Ok(CheckResult {
         holds: counterexample.is_none(),
         counterexample,
-        states_explored: e.states.len(),
+        states_explored: e.states,
         transitions: e.transitions,
         pruned: e.pruned,
         depth_bounded: e.depth_bounded,

@@ -27,7 +27,10 @@
 //! registers as a waiter and receives the winner's outcome verbatim
 //! (`served: "coalesced"`). Distinct keys run concurrently on the
 //! caller's threads ([`Engine::submit_many`] fans a batch across a worker
-//! pool).
+//! pool). A computation that unwinds takes its key out of flight on the
+//! way out, so its waiters get an uncached "in-flight computation
+//! dropped" answer and the next identical request runs afresh; the
+//! engine's locks shrug off the poisoning such a panic may leave.
 //!
 //! ## Budgets
 //!
@@ -40,7 +43,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use polysig_analyze::{analyze_program, analyze_with_scenario, AnalysisReport, ProveOptions};
 use polysig_gals::budget::{Breach, Budget, Stopwatch};
@@ -143,6 +146,23 @@ pub struct EngineStats {
     pub executed: u64,
 }
 
+/// Takes an in-flight key out of the map if its computation unwinds.
+/// Dropping the key drops its waiters' senders, which wakes each of them
+/// with the "in-flight computation dropped" answer.
+struct InflightGuard<'e> {
+    engine: &'e Engine,
+    /// `None` once the computation settled the key itself.
+    key: Option<ContentHash>,
+}
+
+impl Drop for InflightGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.engine.lock_inner().inflight.remove(&key);
+        }
+    }
+}
+
 /// The serving engine. Shared across connection/worker threads behind an
 /// [`Arc`]; all state is internally synchronized.
 pub struct Engine {
@@ -171,9 +191,16 @@ impl Engine {
         &self.config
     }
 
+    /// The shared state. A panic elsewhere may poison the lock, but every
+    /// critical section leaves `Inner` consistent, so the guard is taken
+    /// regardless.
+    fn lock_inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> EngineStats {
-        let inner = self.inner.lock().expect("engine lock");
+        let inner = self.lock_inner();
         EngineStats {
             results: inner.results.stats(),
             programs: inner.programs.stats(),
@@ -274,9 +301,14 @@ impl Engine {
     /// Serves one request: result-cache hit, coalesce onto an identical
     /// in-flight computation, or execute cold.
     pub fn submit(&self, req: &Request) -> Response {
+        self.single_flight(req, || self.execute(req))
+    }
+
+    /// [`Engine::submit`] with the cold computation passed in.
+    fn single_flight(&self, req: &Request, compute: impl FnOnce() -> Outcome) -> Response {
         let key = self.request_key(req);
         {
-            let mut inner = self.inner.lock().expect("engine lock");
+            let mut inner = self.lock_inner();
             if let Some(answer) = inner.results.get(&key) {
                 return answer.respond(req.id, Served::Hit);
             }
@@ -295,9 +327,10 @@ impl Engine {
             }
             inner.inflight.insert(key, Vec::new());
         }
-        let answer = Answer::of(self.execute(req));
+        let mut guard = InflightGuard { engine: self, key: Some(key) };
+        let answer = Answer::of(compute());
         {
-            let mut inner = self.inner.lock().expect("engine lock");
+            let mut inner = self.lock_inner();
             inner.executed += 1;
             if matches!(&*answer.outcome, Outcome::BudgetExceeded { .. }) {
                 inner.budget_breaches += 1;
@@ -306,6 +339,7 @@ impl Engine {
                 let cost = outcome_cost(&answer.outcome) + answer.payload.len();
                 inner.results.insert(key, answer.clone(), cost);
             }
+            guard.key = None;
             let waiters = inner.inflight.remove(&key).unwrap_or_default();
             for w in waiters {
                 let _ = w.send(answer.clone());
@@ -355,7 +389,7 @@ impl Engine {
     fn program_entry(&self, source: &str) -> Result<Arc<ProgramEntry>, Outcome> {
         let key = Engine::source_key(source);
         {
-            let mut inner = self.inner.lock().expect("engine lock");
+            let mut inner = self.lock_inner();
             if let Some(entry) = inner.programs.get(&key) {
                 return Ok(Arc::clone(entry));
             }
@@ -370,7 +404,7 @@ impl Engine {
             estimator: Mutex::new(None),
         });
         let cost = program_cost(&entry);
-        let mut inner = self.inner.lock().expect("engine lock");
+        let mut inner = self.lock_inner();
         inner.programs.insert(key, Arc::clone(&entry), cost);
         Ok(entry)
     }
@@ -469,7 +503,14 @@ impl Engine {
         })?;
         sw.check("estimate").map_err(breach)?;
         let options = self.estimation_options(req);
-        let mut guard = entry.estimator.lock().expect("estimator lock");
+        let mut guard = entry.estimator.lock().unwrap_or_else(|poisoned| {
+            // a panic mid-estimation may have left the skeleton half
+            // updated: rebuild it rather than trust it
+            entry.estimator.clear_poison();
+            let mut guard = poisoned.into_inner();
+            *guard = None;
+            guard
+        });
         if guard.is_none() {
             *guard = Some(Estimator::new(&entry.program).map_err(|e| Outcome::SourceError {
                 stage: "estimate".into(),
@@ -768,5 +809,43 @@ mod tests {
         assert_eq!(stats.executed, 3);
         assert_eq!(stats.programs.insertions, 1);
         assert_eq!(stats.programs.hits, 2);
+    }
+
+    #[test]
+    fn an_unwinding_computation_releases_its_key_and_its_waiters() {
+        let engine = Engine::new(EngineConfig::default());
+        let req = pipeline_request(1, PIPE);
+        let key = engine.request_key(&req);
+        let waiters = || engine.lock_inner().inflight.get(&key).map_or(0, Vec::len);
+        std::thread::scope(|scope| {
+            let (started_tx, started_rx) = mpsc::channel();
+            let leader = scope.spawn(|| {
+                engine.single_flight(&req, move || {
+                    started_tx.send(()).unwrap();
+                    // unwind only once the follower is parked on this key
+                    while waiters() == 0 {
+                        std::thread::yield_now();
+                    }
+                    panic!("computation unwinds");
+                })
+            });
+            started_rx.recv().unwrap();
+            let follower = engine.submit(&pipeline_request(2, PIPE));
+            assert_eq!(follower.served, Served::Coalesced);
+            assert!(
+                matches!(&*follower.outcome, Outcome::SourceError { stage, message }
+                    if stage == "serve" && message.contains("dropped")),
+                "got {:?}",
+                follower.outcome
+            );
+            assert!(leader.join().is_err(), "the leader's panic propagates to its caller");
+        });
+        assert_eq!(waiters(), 0);
+        assert!(engine.lock_inner().inflight.is_empty(), "the guard removed the key");
+        // the key is neither wedged nor cached: the next request runs cold
+        let next = engine.submit(&pipeline_request(3, PIPE));
+        assert_eq!(next.served, Served::Cold);
+        assert!(matches!(&*next.outcome, Outcome::Pipeline(_)), "got {:?}", next.outcome);
+        assert_eq!(engine.stats().executed, 1);
     }
 }
