@@ -84,6 +84,9 @@ echo "$fed_out" | tail -n 2
 grep -q 'OK: every value delivered, every thread joined' <<< "$fed_out" \
   || { echo "federated smoke (default threads): self-check failed"; exit 1; }
 
+echo "==> deployment example: executor and federated runs of one pipeline, self-checking flows"
+cargo run -q --release --example gals_pipeline
+
 echo "==> federated --check preflight: pass path (pipeline launches) and refuse path (PA008 ring)"
 fed_out="$(./target/release/polysig_cli federated 3 2000 4 --check)"
 echo "$fed_out" | tail -n 2

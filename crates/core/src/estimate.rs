@@ -48,7 +48,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use polysig_lang::Program;
-use polysig_sim::{DenseEnv, Reactor, ReactorState, Scenario, SimError, Simulator};
+use polysig_sim::{par, DenseEnv, Reactor, ReactorState, Scenario, SimError, Simulator};
 use polysig_tagged::hash::FxHashMap;
 use polysig_tagged::{SigId, SigName, Value};
 
@@ -107,7 +107,7 @@ impl Default for EstimationOptions {
             max_iterations: 32,
             max_size: 4096,
             growth: GrowthPolicy::ByMaxMiss,
-            threads: crossbeam::pool::default_threads(),
+            threads: par::default_threads(),
             incremental: true,
             proven: BTreeMap::new(),
         }
@@ -825,7 +825,7 @@ pub fn estimate_buffer_sizes_ensemble(
     scenarios: &[Scenario],
     options: &EstimationOptions,
 ) -> Result<EnsembleReport, GalsError> {
-    let outs = crossbeam::pool::map_chunks(
+    let outs = par::map_chunks(
         options.threads,
         scenarios,
         MIN_SCENARIOS_PER_CHUNK,

@@ -25,8 +25,9 @@
 //!   alarm);
 //! * [`runtime`] — the *deployment* side: run the components on independent
 //!   local clocks (periodic / jittered / random) coupled by real queues, in
-//!   one thread or on OS threads via crossbeam, and check that the observed
-//!   I/O flows stay flow-equivalent to the synchronous model.
+//!   a deterministic single-threaded executor or as federates on OS threads
+//!   over bounded credit channels, and check that the observed I/O flows
+//!   stay flow-equivalent to the synchronous model.
 //!
 //! ## Quick tour
 //!

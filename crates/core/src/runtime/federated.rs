@@ -4,7 +4,7 @@
 //! component becomes a **federate** — an OS thread executing the
 //! component's compiled reaction plan ([`Reactor`] auto-compiles to
 //! bytecode and falls back to the interpreter, exactly as in the
-//! single-threaded runtimes) — and the federates are coupled by nothing
+//! single-threaded executor) — and the federates are coupled by nothing
 //! but bounded FIFO channels whose capacity is a credit pool sized from
 //! static analysis ([`FederatedOptions::from_report`] takes
 //! `estimate_buffer_sizes` output; proven `StaticBounds` depths work the

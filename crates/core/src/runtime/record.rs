@@ -1,8 +1,7 @@
-//! Dense per-signal flow recording for the threaded runtimes.
+//! Dense per-signal flow recording for the federated runtime.
 //!
-//! Every runtime that observes reactions (threaded, credit, federated)
-//! records flows the same way the reactor itself does (PR 1's pattern):
-//! values accumulate into [`SigId`]-indexed `Vec` slots during the run —
+//! A federate records flows the same way the reactor itself does: values
+//! accumulate into [`SigId`]-indexed `Vec` slots during the run —
 //! no name-keyed map insert, no name clone, no per-value allocation beyond
 //! the `Vec` push — and convert to the name-keyed boundary form exactly
 //! once, when the run's report is assembled.
@@ -16,7 +15,7 @@ use polysig_tagged::{SigName, Value};
 ///
 /// [`SigId`]: polysig_tagged::SigId
 #[derive(Debug, Clone)]
-pub struct FlowRecorder {
+pub(crate) struct FlowRecorder {
     /// `flows[id.index()]` = that signal's values in activation order.
     flows: Vec<Vec<Value>>,
     /// The interner's name table, captured once at construction.
@@ -26,13 +25,13 @@ pub struct FlowRecorder {
 impl FlowRecorder {
     /// A recorder for a reactor whose interner maps the given names (in id
     /// order).
-    pub fn new(names: Vec<SigName>) -> FlowRecorder {
+    pub(crate) fn new(names: Vec<SigName>) -> FlowRecorder {
         FlowRecorder { flows: vec![Vec::new(); names.len()], names }
     }
 
     /// Appends every present value of one reaction to its signal's slot.
     #[inline]
-    pub fn record(&mut self, present: &DenseEnv) {
+    pub(crate) fn record(&mut self, present: &DenseEnv) {
         for (id, value) in present.iter() {
             self.flows[id.index()].push(value);
         }
@@ -40,7 +39,7 @@ impl FlowRecorder {
 
     /// The boundary conversion: name-keyed flows, keeping only signals
     /// that ever ticked (matching the historical name-keyed behavior).
-    pub fn into_named(self) -> BTreeMap<SigName, Vec<Value>> {
+    pub(crate) fn into_named(self) -> BTreeMap<SigName, Vec<Value>> {
         self.names.into_iter().zip(self.flows).filter(|(_, f)| !f.is_empty()).collect()
     }
 }

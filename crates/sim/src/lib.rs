@@ -48,6 +48,7 @@ pub mod env;
 pub mod error;
 pub mod generator;
 pub mod ir;
+pub mod par;
 pub mod reactor;
 pub mod scenario;
 pub mod schedule;

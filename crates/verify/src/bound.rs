@@ -13,7 +13,7 @@
 //! identical at any thread count).
 
 use polysig_lang::Program;
-use polysig_sim::{ReactionView, Reactor};
+use polysig_sim::{par, ReactionView, Reactor};
 use polysig_tagged::{SigId, SigName, Value};
 
 use crate::alphabet::{Alphabet, EnvAutomaton};
@@ -86,14 +86,7 @@ pub fn max_signal_value(
     signal: &SigName,
     max_states: usize,
 ) -> Result<BoundResult, VerifyError> {
-    max_signal_value_with(
-        program,
-        alphabet,
-        env,
-        signal,
-        max_states,
-        crossbeam::pool::default_threads(),
-    )
+    max_signal_value_with(program, alphabet, env, signal, max_states, par::default_threads())
 }
 
 /// [`max_signal_value`] with an explicit worker thread count.

@@ -8,7 +8,7 @@
 //! messages may still be in flight at the end of the finite run.
 
 use polysig_lang::Program;
-use polysig_sim::{Scenario, Simulator};
+use polysig_sim::{par, Scenario, Simulator};
 use polysig_tagged::{SigName, Value};
 
 use crate::error::VerifyError;
@@ -74,14 +74,7 @@ pub fn compare_flows(
     signal_map: &[(SigName, SigName)],
     relation: FlowRelation,
 ) -> Result<ComparisonReport, VerifyError> {
-    compare_flows_with(
-        left,
-        right,
-        scenario_pairs,
-        signal_map,
-        relation,
-        crossbeam::pool::default_threads(),
-    )
+    compare_flows_with(left, right, scenario_pairs, signal_map, relation, par::default_threads())
 }
 
 /// [`compare_flows`] with an explicit worker thread count.
@@ -114,7 +107,7 @@ pub fn compare_flows_with(
         return Ok(report);
     }
 
-    let outs = crossbeam::pool::map_chunks(
+    let outs = par::map_chunks(
         threads,
         scenario_pairs,
         MIN_PAIRS_PER_CHUNK,

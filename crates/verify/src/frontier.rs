@@ -40,7 +40,7 @@
 //! sized from the layer, before the fan-out: growth on a worker thread would
 //! come from that thread's own allocator arena and inflate peak memory.
 
-use polysig_sim::{DenseEnv, ReactionView, Reactor, SimError};
+use polysig_sim::{par, DenseEnv, ReactionView, Reactor, SimError};
 use polysig_tagged::{Value, ValueType};
 
 use crate::alphabet::{Alphabet, EnvAutomaton};
@@ -365,7 +365,7 @@ pub(crate) fn explore<I: Inspect>(
         workers.push((&mut *reactor, own_buf));
         workers.extend(extra_workers.iter_mut().zip(extra_bufs));
         let store_ref = &store;
-        let outs = crossbeam::pool::map_chunks_mut(
+        let outs = par::map_chunks_mut(
             &mut workers,
             &store.envs[layer.clone()],
             MIN_STATES_PER_CHUNK,

@@ -16,7 +16,7 @@
 //! environment moves the program's clock constraints forbid (e.g. a write
 //! without the master tick). Genuine program errors still surface.
 
-use polysig_sim::{ReactionView, Reactor};
+use polysig_sim::{par, ReactionView, Reactor};
 use polysig_tagged::SigName;
 
 use polysig_lang::Program;
@@ -58,7 +58,7 @@ impl Default for CheckOptions {
             max_states: 1_000_000,
             max_depth: None,
             env: None,
-            threads: crossbeam::pool::default_threads(),
+            threads: par::default_threads(),
             backend: Backend::Explicit,
         }
     }

@@ -4,16 +4,17 @@
 //! network preserving all properties of the system proven in the synchronous
 //! framework". This example runs a source → filter → sink pipeline twice —
 //! once in the deterministic GALS executor with jittered local clocks, once
-//! on real OS threads with crossbeam channels — and checks that the flows
-//! stay flow-equivalent (Definition 4) to each other under the blocking
-//! (lossless) channel policy.
+//! as federates on real OS threads over bounded credit channels — and
+//! checks that the flows stay flow-equivalent (Definition 4) to each other
+//! under lossless backpressure.
 //!
 //! Run with: `cargo run --example gals_pipeline`
 
 use std::collections::BTreeMap;
 
-use polysig::gals::runtime::threaded::{run_threaded, ThreadedComponent};
-use polysig::gals::runtime::{ClockModel, ComponentSpec, GalsExecutor};
+use polysig::gals::runtime::{
+    run_federated, ClockModel, ComponentSpec, FederateSpec, FederatedOptions, GalsExecutor,
+};
 use polysig::gals::ChannelPolicy;
 use polysig::lang::parse_program;
 use polysig::sim::{PeriodicInputs, ScenarioGenerator};
@@ -67,30 +68,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(&filtered[..received.len()], received.as_slice());
     println!("flow check passed: sink's flow is a prefix of the filter's flow\n");
 
-    println!("== the same pipeline on OS threads (real asynchrony) ==");
-    let trun = run_threaded(
+    println!("== the same pipeline as federates on OS threads (real asynchrony) ==");
+    // the downstream stages react once per arriving value and retire when
+    // their producer is done and drained
+    let trun = run_federated(
         &program,
         vec![
-            ThreadedComponent { name: "Source".into(), activations: n, environment: env },
-            ThreadedComponent {
-                name: "Filter".into(),
-                activations: 8 * n,
-                environment: Default::default(),
-            },
-            ThreadedComponent {
-                name: "Sink".into(),
-                activations: 16 * n,
-                environment: Default::default(),
-            },
+            FederateSpec::new("Source", n).with_environment(env),
+            FederateSpec::new("Filter", 8 * n).data_driven(),
+            FederateSpec::new("Sink", 16 * n).data_driven(),
         ],
-        ChannelPolicy::Blocking,
-        4,
+        &FederatedOptions::default().with_capacity("x", 4).with_capacity("y", 4),
     )?;
     let tsent = trun.flow("Source", &"x".into());
     let tfiltered = trun.flow("Filter", &"y".into());
     let treceived = trun.flow("Sink", &"y".into());
     println!(
-        "threads: source {} values, filter {}, sink {}",
+        "federates: source {} values, filter {}, sink {}",
         tsent.len(),
         tfiltered.len(),
         treceived.len()

@@ -42,6 +42,7 @@
 //! cooperative backstop polled between stages.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -51,7 +52,7 @@ use polysig_gals::cache::{ByteLru, CacheStats, ContentHash, Sha256};
 use polysig_gals::{EstimationOptions, EstimationReport, Estimator};
 use polysig_lang::ast::Program;
 use polysig_lang::check_program;
-use polysig_sim::Scenario;
+use polysig_sim::{par, Scenario};
 use polysig_verify::{check, Alphabet, CheckOptions, Property, VerifyError};
 
 use super::proto::{
@@ -288,13 +289,15 @@ impl Engine {
         }
     }
 
+    /// A request's `threads`, clamped to the engine's own worker count: a
+    /// client may ask for fewer workers, never for more.
     fn effective_threads(&self, req: &Request) -> usize {
+        let workers =
+            if self.config.threads > 0 { self.config.threads } else { par::default_threads() };
         if req.threads > 0 {
-            req.threads
-        } else if self.config.threads > 0 {
-            self.config.threads
+            req.threads.min(workers)
         } else {
-            crossbeam::pool::default_threads()
+            workers
         }
     }
 
@@ -355,20 +358,17 @@ impl Engine {
         if threads == 1 || requests.len() <= 1 {
             return requests.iter().map(|r| self.submit(r)).collect();
         }
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<(usize, &Request)>();
-        for item in requests.iter().enumerate() {
-            task_tx.send(item).expect("queue open");
-        }
-        drop(task_tx);
+        // workers claim the next unclaimed request off a shared cursor, so a
+        // slow request never holds back the ones behind it
+        let next = AtomicUsize::new(0);
         let (done_tx, done_rx) = mpsc::channel::<(usize, Response)>();
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let task_rx = task_rx.clone();
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((i, req)) = task_rx.recv() {
-                        let _ = done_tx.send((i, self.submit(req)));
-                    }
+                let (next, done_tx) = (&next, done_tx.clone());
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(req) = requests.get(i) else { break };
+                    let _ = done_tx.send((i, self.submit(req)));
                 });
             }
         });
@@ -717,6 +717,23 @@ mod tests {
         let second = engine.submit(&b);
         assert_eq!(second.served, Served::Hit);
         assert_eq!(first.outcome, second.outcome);
+    }
+
+    #[test]
+    fn client_thread_counts_are_clamped_to_the_engine_workers() {
+        // inspects the options only: a check at a billion threads would
+        // spawn a thread per few states of every BFS layer
+        let mut huge = pipeline_request(1, PIPE);
+        huge.threads = 1_000_000_000;
+        let pinned = Engine::new(EngineConfig { threads: 3, ..EngineConfig::default() });
+        assert_eq!(pinned.check_options(&huge).threads, 3);
+        assert_eq!(pinned.estimation_options(&huge).threads, 3);
+        let detected = Engine::new(EngineConfig::default());
+        assert_eq!(detected.check_options(&huge).threads, par::default_threads());
+        assert_eq!(detected.estimation_options(&huge).threads, par::default_threads());
+        // asking for fewer workers than the engine has is honoured
+        huge.threads = 2;
+        assert_eq!(pinned.check_options(&huge).threads, 2);
     }
 
     #[test]
